@@ -8,8 +8,9 @@ Four costs this PR attacks, each measured against the code it replaced:
   >= 10x at 10k in-flight — is asserted here, not just reported;
 - batched admission throughput (``admit_many``) over a shedding-heavy
   trace, the consumer of the tracker hot path;
-- gateway ``handle_line`` ops/sec through the full protocol stack, the
-  consumer of the response fast path;
+- gateway ingest ops/sec through the full protocol stack (framer,
+  ``handle_frames``, batched decisions), the consumer of the response
+  fast path;
 - the ``admit_response`` fragment encoder vs the generic sorted-keys
   ``ok_response`` encoder it specializes.
 
@@ -218,13 +219,13 @@ def test_admit_many_throughput(benchmark, count=TRACE_LEN):
 
 
 def test_gateway_handle_line_throughput(benchmark, count=TRACE_LEN):
-    """Full ingest stack at batch 32: frame -> fused decode -> batch-decide.
+    """Full ingest stack at batch 32: frame -> decode -> batch-decide.
 
     The ISSUE 10 acceptance point, measured over the production ingest
     route: the NDJSON payload arrives in 64 KiB socket-sized chunks,
-    ``NdjsonFramer`` splits them, and ``handle_frames`` runs the fused
-    bytes-to-decision lane (chunk-level huge-int screen, direct orjson
-    decode, inlined envelope checks, one-entry pipeline cache).
+    ``NdjsonFramer`` splits them, and ``handle_frames`` decodes each
+    frame once (``parse_request``: screened orjson decode straight off
+    the frame bytes) and dispatches it through ``handle_request``.
     Admissions queue into batches of ``GATEWAY_MAX_BATCH`` so each
     flush takes the vectorized ``admit_many`` fast path and the
     batched response encoder; the trailing partial batch is flushed by

@@ -15,7 +15,7 @@ import asyncio
 import sys
 from typing import Optional, Sequence
 
-from .gateway import install_event_loop, serve_forever
+from .gateway import serve_forever
 from .journal import DEFAULT_SNAPSHOT_EVERY
 
 
@@ -61,21 +61,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--transport",
-        choices=("auto", "stdlib", "uvloop"),
-        default="auto",
-        help=(
-            "event-loop backend: uvloop when available (auto, the "
-            "default), uvloop-or-fail, or the stdlib asyncio loop; "
-            "wire bytes are identical on every backend"
-        ),
+        choices=("stdlib",),
+        default="stdlib",
+        help="event-loop backend; the stdlib asyncio loop is the only one",
     )
     args = parser.parse_args(argv)
-    try:
-        loop_backend = install_event_loop(args.transport)
-    except RuntimeError as exc:
-        parser.error(str(exc))
-    if args.transport != "stdlib":
-        print(f"event loop backend: {loop_backend}", flush=True)
     if (args.shard_index is None) != (args.shard_count is None):
         parser.error("--shard-index and --shard-count must be given together")
     durable = None

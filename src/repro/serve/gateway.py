@@ -3,8 +3,9 @@
 Two layers:
 
 :class:`AdmissionGateway`
-    Synchronous, deterministic core.  One call per request line;
-    returns zero or more ``(origin, response line)`` pairs (batched
+    Synchronous, deterministic core.  Each request is decoded once
+    and dispatched by :meth:`~AdmissionGateway.handle_request`, which
+    yields zero or more ``(origin, response line)`` pairs (batched
     admissions defer their responses until the batch flushes, so a
     single request can release responses owed to *earlier* requests,
     potentially from other connections).  All protocol errors become
@@ -28,26 +29,25 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple, Union,
+)
 
+# ``orjson`` and ``_folded_holds_huge_int`` are not used here; they are
+# re-exported only because the per-layer tracer in perfbench/layers.py
+# patches both names on this module.
 from .protocol import (
     MAX_REQUEST_CHARS,
-    MAX_REQUEST_DEPTH,
     OPS,
-    PIPELINE_OPS,
     NdjsonFramer,
     ProtocolError,
-    _DIGIT_FOLD,
-    _FRAME_WS,
-    _OP_CANON,
-    _folded_holds_huge_int,
-    admit_response,
+    _folded_holds_huge_int,  # noqa: F401 — tracer re-export
     admit_response_batch,
     encode,
     error_response,
     frontier_from_wire,
     ok_response,
-    orjson,
+    orjson,  # noqa: F401 — tracer re-export
     parse_request,
     task_from_wire,
 )
@@ -58,40 +58,9 @@ __all__ = [
     "AdmissionGateway",
     "GatewayLike",
     "GatewayServer",
-    "install_event_loop",
     "serve_forever",
     "DEFAULT_DEDUP_WINDOW",
 ]
-
-
-def install_event_loop(preference: str = "auto") -> str:
-    """Select the asyncio event-loop backend; returns the one in effect.
-
-    ``"uvloop"`` installs `uvloop <https://github.com/MagicStack/uvloop>`_'s
-    loop policy and fails loudly if it is not importable; ``"auto"``
-    uses uvloop when available and silently falls back to the stdlib
-    loop otherwise; ``"stdlib"`` never touches the policy.  The gateway
-    core and the wire bytes are identical on every backend — only the
-    event-loop implementation under :class:`GatewayServer` changes —
-    so this is safe to call from any entry point before
-    ``asyncio.run``.
-    """
-    if preference not in ("auto", "stdlib", "uvloop"):
-        raise ValueError(
-            f"event loop preference must be auto|stdlib|uvloop, got {preference!r}"
-        )
-    if preference == "stdlib":
-        return "stdlib"
-    try:
-        import uvloop
-    except ImportError:
-        if preference == "uvloop":
-            raise RuntimeError(
-                "uvloop transport requested but uvloop is not installed"
-            ) from None
-        return "stdlib"
-    uvloop.install()
-    return "uvloop"
 
 #: ``(origin, response line)`` — origin is the opaque connection token
 #: the request arrived with (``None`` for in-process callers).
@@ -115,11 +84,14 @@ _OP_HEALTH = OPS[OPS.index("health")]
 class GatewayLike(Protocol):
     """The surface the server/transports need from a gateway core.
 
-    Satisfied by :class:`AdmissionGateway` and by the durable
-    write-ahead-journaled wrapper
-    :class:`repro.serve.journal.DurableGateway`.
+    Satisfied by :class:`AdmissionGateway` and by the wrappers that
+    stack on it, :class:`repro.serve.journal.DurableGateway` and
+    :class:`repro.serve.router.ShardGateway`.  A stack decodes each
+    request once, in its outermost layer's :meth:`handle_frames`; every
+    layer then receives the same dict through :meth:`handle_request`,
+    or the decode failure through :meth:`handle_decode_error`.
 
-    The ``*_async`` variants are what the asyncio server calls: a core
+    The ``*_async`` variants are what the asyncio server calls: a stack
     that performs real I/O (the durable journal) must keep it off the
     event loop there.  The sync variants remain the interface for
     in-process transports and recovery replay, where there is no loop
@@ -132,15 +104,21 @@ class GatewayLike(Protocol):
     @draining.setter
     def draining(self, value: bool) -> None: ...
 
+    def handle_request(
+        self, request: Dict[str, Any], origin: Any, routed: List[Routed]
+    ) -> None: ...
+
+    def handle_decode_error(
+        self, exc: ProtocolError, origin: Any, routed: List[Routed]
+    ) -> None: ...
+
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]: ...
 
     def handle_frames(
-        self, frames: Sequence[bytes], origin: Any = None
+        self, frames: Sequence[Union[bytes, str]], origin: Any = None
     ) -> List[Routed]: ...
 
     def drain(self) -> List[Routed]: ...
-
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]: ...
 
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
@@ -190,331 +168,153 @@ class AdmissionGateway:
         #: window[next(iter(window))]`` evicts the oldest — amortized
         #: O(1), cheaper per settle than ``OrderedDict``'s link juggling.
         self._rid_decided: Dict[str, List[Any]] = {}
-        #: op -> bound handler.  ``parse_request`` guarantees the op is
-        #: one of ``OPS``, so dispatch is one dict lookup instead of a
-        #: per-request ``getattr`` string build.
+        #: op -> bound handler for every op but ``admit`` (which
+        #: :meth:`handle_request` runs inline).  ``parse_request``
+        #: guarantees the op is one of ``OPS``, so dispatch is one dict
+        #: lookup instead of a per-request ``getattr`` string build.
         self._handlers: Dict[str, Callable[[Dict[str, Any], Any, List[Routed]], None]] = {
-            op: getattr(self, f"_op_{op}") for op in OPS
+            op: getattr(self, f"_op_{op}") for op in OPS if op is not _OP_ADMIT
         }
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
 
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]:
-        """Process one request line; return routed response lines.
+        """Process one request line; return routed response lines."""
+        return self.handle_frames((line,), origin)
 
-        Never raises for request content — malformed or unserviceable
-        requests produce an error response to ``origin``.  Handlers
-        accumulate responses into a shared list, so responses already
-        released by the request (batched admissions flushed by a
-        barrier operation) are still delivered when the operation
-        itself subsequently fails: the batch's decisions mutate
-        controller state, and the clients that queued them must see
-        them even though the failing request only gets an error.
+    def handle_frames(
+        self, frames: Sequence[Union[bytes, str]], origin: Any = None
+    ) -> List[Routed]:
+        """Decode each frame once and dispatch it; return routed responses.
+
+        ``frames`` are :class:`~repro.serve.protocol.NdjsonFramer`
+        frames, where a blank one carries no request and gets no
+        response, or in-process lines.  Each is decoded by
+        :func:`~repro.serve.protocol.parse_request` and handed to
+        :meth:`handle_request`.  The wrappers' ``handle_frames`` are
+        this loop over their own ``handle_request``.
         """
-        request: Optional[Dict[str, Any]] = None
         routed: List[Routed] = []
+        for frame in frames:
+            try:
+                request = parse_request(frame)
+            except ProtocolError as exc:
+                self.handle_decode_error(exc, origin, routed)
+                continue
+            if request is not None:
+                self.handle_request(request, origin, routed)
+        return routed
+
+    def handle_request(
+        self, request: Dict[str, Any], origin: Any, routed: List[Routed]
+    ) -> None:
+        """Dispatch one decoded request, appending its responses to ``routed``.
+
+        Never raises for request content — an unserviceable request
+        produces an error response to ``origin``.  Handlers accumulate
+        into the shared ``routed``, so responses already released by the
+        request (batched admissions flushed by a barrier operation) are
+        still delivered when the operation itself subsequently fails:
+        the batch's decisions mutate controller state, and the clients
+        that queued them must see them even though the failing request
+        only gets an error.
+        """
         try:
-            request = parse_request(line)
-            self._handle_request(request, origin, routed)
+            op = request["op"]
+            # ``health`` is read-only and unjournaled, so its responses
+            # must stay out of the (durable) idempotency window.  The
+            # envelope validation guarantees any present rid is a
+            # string, so no type re-check is needed here.
+            if op is not _OP_HEALTH:
+                rid = request.get("rid")
+                if rid is not None:
+                    entry = self._rid_decided.get(rid)
+                    if entry is not None:
+                        # Idempotent retry of an already-decided
+                        # request: serve the cached decision without
+                        # re-running the operation (and without
+                        # counting it as a new op).  The window stays
+                        # in decision order — a hit must NOT refresh
+                        # the entry's position, because hits are served
+                        # without journaling and an LRU bump here could
+                        # never be reproduced by crash-recovery replay
+                        # (eviction order, and with it future dedup
+                        # decisions, would diverge from a never-crashed
+                        # gateway).
+                        self.dedup_hits += 1
+                        routed.append((origin, self._replay(entry, request)))
+                        return
+                    if rid in self._rid_pending:
+                        # The original is still queued in an admission
+                        # batch; there is no decision to replay yet.
+                        # Not an ``errors`` increment — the client did
+                        # nothing wrong, it just retried too early.
+                        routed.append(
+                            (
+                                origin,
+                                error_response(
+                                    request,
+                                    "duplicate-request",
+                                    f"request rid {rid!r} is still queued in "
+                                    "an admission batch; retry after it is "
+                                    "decided",
+                                ),
+                            )
+                        )
+                        return
+                    self._rid_pending.add(rid)
+            op_counts = self.op_counts
+            op_counts[op] = op_counts.get(op, 0) + 1
+            if op is _OP_ADMIT:
+                # The dominant op, run inline: no handler-table hop and
+                # no barrier.  Responses settle when their batch
+                # flushes (see :meth:`_emit_decided`).
+                if self.draining:
+                    raise ProtocolError(
+                        "draining", "gateway is draining; no new admits"
+                    )
+                pipeline = self.registry.get(request["pipeline"])
+                task = task_from_wire(request.get("task"))
+                decided = pipeline.admit((origin, request), task)
+                if decided:
+                    self._emit_decided(decided, routed)
+            else:
+                self._handlers[op](request, origin, routed)
+                # Every non-admit handler appends the response
+                # answering *this* request last.
+                self._settle(request, routed[-1][1])
         except ProtocolError as exc:
             self.errors += 1
             response = error_response(request, exc.code, exc.detail)
-            if request is not None:
-                self._settle(request, response)
+            self._settle(request, response)
             routed.append((origin, response))
-        return routed
 
-    def _handle_request(
-        self, request: Dict[str, Any], origin: Any, routed: List[Routed]
+    def handle_decode_error(
+        self, exc: ProtocolError, origin: Any, routed: List[Routed]
     ) -> None:
-        """Dispatch one parsed, envelope-validated request."""
-        op = request["op"]
-        # ``health`` is read-only and unjournaled, so its responses
-        # must stay out of the (durable) idempotency window.  The
-        # envelope validation guarantees any present rid is a
-        # string, so no type re-check is needed here.
-        if op is not _OP_HEALTH:
-            rid = request.get("rid")
-            if rid is not None:
-                entry = self._rid_decided.get(rid)
-                if entry is not None:
-                    # Idempotent retry of an already-decided
-                    # request: serve the cached decision without
-                    # re-running the operation (and without
-                    # counting it as a new op).  The window stays
-                    # in decision order — a hit must NOT refresh
-                    # the entry's position, because hits are served
-                    # without journaling and an LRU bump here could
-                    # never be reproduced by crash-recovery replay
-                    # (eviction order, and with it future dedup
-                    # decisions, would diverge from a never-crashed
-                    # gateway).
-                    self.dedup_hits += 1
-                    routed.append((origin, self._replay(entry, request)))
-                    return
-                if rid in self._rid_pending:
-                    # The original is still queued in an admission
-                    # batch; there is no decision to replay yet.
-                    # Not an ``errors`` increment — the client did
-                    # nothing wrong, it just retried too early.
-                    routed.append(
-                        (
-                            origin,
-                            error_response(
-                                request,
-                                "duplicate-request",
-                                f"request rid {rid!r} is still queued in "
-                                "an admission batch; retry after it is "
-                                "decided",
-                            ),
-                        )
-                    )
-                    return
-                self._rid_pending.add(rid)
-        op_counts = self.op_counts
-        op_counts[op] = op_counts.get(op, 0) + 1
-        if op is _OP_ADMIT:
-            # Admission fast lane: the dominant op, with the
-            # handler-table indirection and the barrier machinery
-            # of :meth:`_op_admit` bypassed.  Responses settle when
-            # their batch flushes (see :meth:`_emit_decided_into`).
-            if self.draining:
-                raise ProtocolError(
-                    "draining", "gateway is draining; no new admits"
-                )
-            pipeline = self.registry.get(request["pipeline"])
-            task = task_from_wire(request.get("task"))
-            decided = pipeline.admit((origin, request), task)
-            if decided:
-                self._emit_decided_into(decided, routed)
-        else:
-            self._handlers[op](request, origin, routed)
-            # Every non-admit handler appends the response
-            # answering *this* request last.
-            self._settle(request, routed[-1][1])
+        """Answer a request that failed to decode.
 
-    def handle_frames(
-        self, frames: Sequence[bytes], origin: Any = None
-    ) -> List[Routed]:
-        """Process a chunk of framed request lines in one fused pass.
-
-        Byte-equivalent — same responses, same order, same counters —
-        to decoding each frame (``utf-8``, ``errors="replace"``),
-        stripping it, skipping blanks, and calling :meth:`handle_line`
-        (the differential test in ``tests/test_serve_fastpath`` pins
-        this).  The fusion is where the per-line overhead of that loop
-        goes away for the dominant traffic:
-
-        - the accelerated decode runs straight off the frame *bytes*
-          (no ``str`` round trip; the ``{`` first-byte probe also
-          proves the parsed document is an object, and a byte length
-          within ``MAX_REQUEST_CHARS`` bounds the char length),
-        - the envelope validation and the admit dispatch are inlined
-          with the per-chunk invariants (``draining``, dedup window,
-          op counters, the target pipeline) hoisted out of the loop,
-        - the ``admit`` op count is accumulated locally and written
-          back at the first point it could be observed (a non-admit
-          request is a batch barrier, so deferral is unobservable),
-        - the pipeline lookup is cached across consecutive admits to
-          the same pipeline name, invalidated by anything that can
-          touch the registry (any non-fast-lane request).
-
-        Anything the fast lane cannot prove equivalent — non-``admit``
-        ops, lines needing the strict parser, decode fallbacks,
-        draining mode — drops back to the shared per-line machinery.
+        With no decoded request there is no ``id``/``op`` to echo and
+        no rid to settle into the dedup window.
         """
-        routed: List[Routed] = []
-        loads = orjson.loads if orjson is not None else None
-        rid_decided_get = self._rid_decided.get
-        rid_pending = self._rid_pending
-        rid_pending_add = rid_pending.add
-        registry_get = self.registry.get
-        op_counts = self.op_counts
-        op_canon_get = _OP_CANON.get
-        admit_canon = _OP_ADMIT
-        max_chars = MAX_REQUEST_CHARS
-        max_depth = MAX_REQUEST_DEPTH
-        holds_huge = _folded_holds_huge_int
-        chunk_clean = False
-        if loads is not None and frames:
-            # One digit-fold + substring scan over the whole chunk
-            # instead of one per frame.  Frames carry no ``\n``, so the
-            # join separator breaks any digit run at a frame boundary:
-            # a run that would screen positive inside some frame is the
-            # same bytes here with the same (or a newline) predecessor,
-            # and both classify as a run start — a clean chunk therefore
-            # proves every frame clean.  A dirty chunk (rare: huge-int
-            # traffic) falls back to the per-frame screen below, which
-            # alone decides each frame's lane.
-            chunk_clean = not holds_huge(
-                b"\n".join(frames).translate(_DIGIT_FOLD)
-            )
-        draining = self.draining
-        pipeline_name: Optional[str] = None
-        pipeline: Optional[ServedPipeline] = None
-        admits = 0
-        for raw in frames:
-            request: Any = None
-            if loads is not None:
-                stripped = raw.strip(_FRAME_WS)
-                # A first byte of ``{`` (after ASCII-whitespace strip)
-                # guarantees ``str.strip`` of the decoded line is the
-                # same text, and that a successful parse is a dict.
-                # Brace counts need no digit fold — ``{``/``[`` cannot
-                # alias a folded byte.
-                if (
-                    stripped[:1] == b"{"
-                    and len(stripped) <= max_chars
-                    and stripped.count(b"{") + stripped.count(b"[") <= max_depth
-                    and (
-                        chunk_clean
-                        or not holds_huge(stripped.translate(_DIGIT_FOLD))
-                    )
-                ):
-                    try:
-                        request = loads(stripped)
-                    except Exception:
-                        request = None
-            if request is None:
-                # Exactly the per-line transport path this replaces.
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                if admits:
-                    op_counts[admit_canon] = (
-                        op_counts.get(admit_canon, 0) + admits
-                    )
-                    admits = 0
-                routed.extend(self.handle_line(line, origin=origin))
-                draining = self.draining
-                pipeline_name = None
-                continue
-            try:
-                # Envelope validation, inlined (same expressions and
-                # error bytes as ``parse_request``).  A failure here
-                # corresponds to ``parse_request`` raising in
-                # :meth:`handle_line` — where ``request`` is still
-                # ``None`` — so the error must NOT settle into the
-                # dedup window.
-                try:
-                    canon = op_canon_get(request.get("op"))
-                except TypeError:
-                    canon = None
-                if canon is None:
-                    op = request.get("op")
-                    raise ProtocolError(
-                        "unknown-op",
-                        f"op must be one of {', '.join(OPS)}; got {op!r}",
-                    )
-                request["op"] = canon
-                request_id = request.get("id")
-                if request_id is not None and not isinstance(
-                    request_id, (int, str)
-                ):
-                    raise ProtocolError(
-                        "bad-request", "id must be an integer or string"
-                    )
-                rid = request.get("rid")
-                if rid is not None and (
-                    not isinstance(rid, str) or not rid or len(rid) > 200
-                ):
-                    raise ProtocolError(
-                        "bad-request",
-                        "rid must be a non-empty string of at most 200 chars",
-                    )
-                if canon in PIPELINE_OPS and not isinstance(
-                    request.get("pipeline"), str
-                ):
-                    raise ProtocolError(
-                        "bad-request",
-                        f"op {canon!r} requires a string 'pipeline' operand",
-                    )
-            except ProtocolError as exc:
-                self.errors += 1
-                # ``None``, not ``request``: :meth:`handle_line` has no
-                # parsed request at this stage, so its error response
-                # carries no id/op echo.
-                routed.append(
-                    (origin, error_response(None, exc.code, exc.detail))
-                )
-                continue
-            try:
-                if canon is admit_canon and not draining:
-                    # Fused admit lane: _handle_request with the chunk
-                    # invariants hoisted.  Draining admits fall through
-                    # to _handle_request so the dedup-before-draining
-                    # order (a decided rid replays even while draining)
-                    # is decided by exactly one code path.
-                    if rid is not None:
-                        entry = rid_decided_get(rid)
-                        if entry is not None:
-                            self.dedup_hits += 1
-                            routed.append(
-                                (origin, self._replay(entry, request))
-                            )
-                            continue
-                        if rid in rid_pending:
-                            routed.append(
-                                (
-                                    origin,
-                                    error_response(
-                                        request,
-                                        "duplicate-request",
-                                        f"request rid {rid!r} is still "
-                                        "queued in an admission batch; "
-                                        "retry after it is decided",
-                                    ),
-                                )
-                            )
-                            continue
-                        rid_pending_add(rid)
-                    admits += 1
-                    name = request["pipeline"]
-                    if name != pipeline_name:
-                        pipeline = registry_get(name)
-                        pipeline_name = name
-                    task = task_from_wire(request.get("task"))
-                    decided = pipeline.admit((origin, request), task)
-                    if decided:
-                        self._emit_decided_into(decided, routed)
-                else:
-                    if admits:
-                        op_counts[admit_canon] = (
-                            op_counts.get(admit_canon, 0) + admits
-                        )
-                        admits = 0
-                    self._handle_request(request, origin, routed)
-                    draining = self.draining
-                    pipeline_name = None
-            except ProtocolError as exc:
-                self.errors += 1
-                response = error_response(request, exc.code, exc.detail)
-                self._settle(request, response)
-                routed.append((origin, response))
-                pipeline_name = None
-        if admits:
-            op_counts[admit_canon] = op_counts.get(admit_canon, 0) + admits
-        return routed
+        self.errors += 1
+        routed.append((origin, error_response(None, exc.code, exc.detail)))
 
     def drain(self) -> List[Routed]:
         """Flush every pipeline's pending batch (shutdown path)."""
         routed: List[Routed] = []
         for pipeline in self.registry:
-            routed.extend(self._emit_decided(pipeline.flush()))
+            self._emit_decided(pipeline.flush(), routed)
         return routed
-
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
-        """Async facade over :meth:`handle_line` — the core is pure
-        compute, so there is nothing to offload."""
-        return self.handle_line(line, origin=origin)
 
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Async facade over :meth:`handle_frames` (pure compute)."""
-        return self.handle_frames(frames, origin=origin)
+        """Async facade over :meth:`handle_frames` — the core is pure
+        compute, so there is nothing to offload."""
+        return self.handle_frames(frames, origin)
 
     async def drain_async(self) -> List[Routed]:
         """Async facade over :meth:`drain` (pure compute)."""
@@ -605,60 +405,30 @@ class AdmissionGateway:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _pipeline(self, request: Dict[str, Any]) -> ServedPipeline:
-        return self.registry.get(request["pipeline"])
-
-    def _emit_decided(self, decided: List[Decided]) -> List[Routed]:
-        """Render decided admissions as responses routed to their origins."""
-        routed: List[Routed] = []
-        if decided:
-            self._emit_decided_into(decided, routed)
-        return routed
-
-    def _emit_decided_into(
-        self, decided: List[Decided], routed: List[Routed]
-    ) -> None:
+    def _emit_decided(self, decided: List[Decided], routed: List[Routed]) -> None:
         """Append decided admissions to ``routed``, settling their rids.
 
         The whole flush is encoded in one :func:`admit_response_batch`
         call (byte-identical to per-decision :func:`admit_response` —
         pinned by test); an empty shed tuple skips the ``sorted`` call,
-        which encodes identically because both are falsy.  The settle
-        loop is :meth:`_settle` unrolled with the window bookkeeping
-        hoisted — admit tokens always carry a parsed non-``health``
-        request, so the per-response op/type re-checks drop out.
+        which encodes identically because both are falsy.
         """
-        items = []
-        iappend = items.append
-        for token, _task, decision in decided:
-            shed = decision.shed
-            iappend(
+        if not decided:
+            return
+        lines = admit_response_batch(
+            [
                 (
                     token[1],
                     decision.admitted,
                     decision.region_value,
-                    sorted(shed, key=repr) if shed else shed,
+                    sorted(decision.shed, key=repr) if decision.shed else decision.shed,
                 )
-            )
-        lines = admit_response_batch(items)
-        pending_discard = self._rid_pending.discard
-        window = self._rid_decided
-        limit = self.dedup_window
-        rappend = routed.append
+                for token, _task, decision in decided
+            ]
+        )
         for (token, _task, _decision), line in zip(decided, lines):
-            request = token[1]
-            rid = request.get("rid")
-            if rid is not None:
-                pending_discard(rid)
-                if rid in window:
-                    # Re-deciding an existing rid must move it to the
-                    # back of the eviction order; deleting first makes
-                    # the reinsert land there.
-                    del window[rid]
-                window[rid] = [line, request.get("id"), None]
-                while len(window) > limit:
-                    del window[next(iter(window))]
-            rappend((token[0], line))
+            self._settle(token[1], line)
+            routed.append((token[0], line))
 
     def _barrier(self, request: Dict[str, Any], routed: List[Routed]) -> ServedPipeline:
         """Look up the target pipeline and flush its pending batch.
@@ -671,8 +441,8 @@ class AdmissionGateway:
         (handlers validate their operands first, but some failures —
         e.g. a time regression — are only detectable afterwards).
         """
-        pipeline = self._pipeline(request)
-        routed.extend(self._emit_decided(pipeline.flush()))
+        pipeline = self.registry.get(request["pipeline"])
+        self._emit_decided(pipeline.flush(), routed)
         return pipeline
 
     # ------------------------------------------------------------------
@@ -713,12 +483,6 @@ class AdmissionGateway:
         pipeline = self._barrier(request, routed)
         self.registry.unregister(pipeline.name)
         routed.append((origin, ok_response(request, pipeline=pipeline.name)))
-
-    def _op_admit(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
-        pipeline = self._pipeline(request)
-        task = task_from_wire(request.get("task"))
-        token = (origin, request)
-        routed.extend(self._emit_decided(pipeline.admit(token, task)))
 
     def _op_depart(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
         task_id = _task_id_operand(request)
@@ -862,7 +626,7 @@ class AdmissionGateway:
             stats = {name: pipeline.stats()}
         else:
             for pipeline in self.registry:
-                routed.extend(self._emit_decided(pipeline.flush()))
+                self._emit_decided(pipeline.flush(), routed)
             stats = {p.name: p.stats() for p in self.registry}
         routed.append(
             (
@@ -999,11 +763,10 @@ class GatewayServer:
                 if frames:
                     # The lock serializes dispatch across connections, so the
                     # deterministic core only ever sees one request at a time.
-                    # The async variant keeps a durable core's journal I/O
-                    # off the event loop (executor offload inside).  One
-                    # fused call per read chunk: same responses in the same
-                    # order as the per-line loop this replaces, delivered
-                    # with one write+drain instead of one per line.
+                    # The async variant keeps a durable stack's journal I/O
+                    # off the event loop (one executor hop per chunk).  One
+                    # call per read chunk, delivered with one write+drain
+                    # instead of one per line.
                     async with self._lock:
                         routed = await self.gateway.handle_frames_async(
                             frames, origin=origin

@@ -19,10 +19,11 @@ Journal records are canonical NDJSON::
   journal file).
 - ``crc`` is the CRC-32 of the canonical encoding of ``{"op":...,
   "seq":...}`` — a torn or bit-flipped record never validates.
-- ``op`` is the parsed request document re-encoded canonically, so a
-  record replays through :meth:`AdmissionGateway.handle_line
+- ``op`` is the decoded request document — the very dict the core
+  then dispatches — re-encoded canonically, so a record replays
+  through :meth:`AdmissionGateway.handle_line
   <repro.serve.gateway.AdmissionGateway.handle_line>` exactly as the
-  original line did.
+  original request did.
 
 Torn-tail semantics (see :func:`scan_journal`): a crash can leave a
 *prefix* of the final record on disk (records are written in one
@@ -40,6 +41,12 @@ snapshot is written atomically (temp file + ``os.replace``) and the
 journal reset *afterwards*, so a crash between the two leaves a journal
 whose early records duplicate the snapshot — recovery skips records
 with ``seq`` at or below the snapshot's sequence number.
+
+Event loop: the journal's I/O (append, flush, optional fsync,
+compaction) must not run on the asyncio server's loop.
+:meth:`DurableGateway.handle_frames_async` runs a whole read chunk —
+decode, appends, dispatch, compaction — in the default executor, one
+hop per chunk.
 """
 
 from __future__ import annotations
@@ -365,9 +372,10 @@ class DurableGateway:
     Satisfies :class:`~repro.serve.gateway.GatewayLike`, so it drops
     into :class:`~repro.serve.gateway.GatewayServer` and
     :class:`~repro.serve.client.InProcessTransport` unchanged.  Each
-    state-mutating request line is journaled *before* the core
-    dispatches it; requests that cannot mutate controller state (bad
-    JSON, ``health``, idempotent-retry hits) bypass the journal.
+    state-mutating request is journaled *before* the core dispatches
+    it — the same decoded dict, so a request is parsed once however
+    the stack is built; requests that cannot mutate controller state
+    (bad JSON, ``health``, idempotent-retry hits) bypass the journal.
 
     Args:
         gateway: The wrapped core (usually freshly recovered).
@@ -421,65 +429,72 @@ class DurableGateway:
     def registry(self) -> Any:
         return self.gateway.registry
 
-    def _journaled_request(self, line: str) -> Optional[Dict[str, Any]]:
-        """The parsed request to journal before dispatch, or ``None``.
-
-        ``None`` covers the bypass cases: unparseable lines (only bump
-        the error counter — counters are diagnostics, not part of the
-        durability contract), non-mutating ops, and idempotent retries
-        already decided in the dedup window (journaling a retry would
-        replay a second, state-mutating copy of the op).
-        """
-        try:
-            request = parse_request(line)
-        except ProtocolError:
-            return None
-        if request.get("op") not in JOURNALED_OPS:
-            return None
-        rid = request.get("rid")
-        if isinstance(rid, str) and self.gateway.dedup_status(rid) != "unknown":
-            return None
-        return request
-
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]:
         """Journal (when mutating) then dispatch one request line."""
-        request = self._journaled_request(line)
-        if request is None:
-            return self.gateway.handle_line(line, origin)
-        self.journal.append(request)
-        routed = self.gateway.handle_line(line, origin)
-        self._ops_since_snapshot += 1
-        self._maybe_compact()
-        return routed
+        return self.handle_frames((line,), origin)
 
     def handle_frames(
-        self, frames: Sequence[bytes], origin: Any = None
+        self, frames: Sequence[Union[bytes, str]], origin: Any = None
     ) -> List[Routed]:
-        """Per-line dispatch of a framed chunk.
-
-        Durability is per request — every mutating line must reach the
-        journal before its effects exist — so the durable core cannot
-        take the fused chunk lane; it decodes and journals line by
-        line, exactly as the per-line transport did.
-        """
+        """Decode each frame once, then journal and dispatch it (the
+        loop of :meth:`AdmissionGateway.handle_frames`)."""
         routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(self.handle_line(line, origin))
+        for frame in frames:
+            try:
+                request = parse_request(frame)
+            except ProtocolError as exc:
+                self.handle_decode_error(exc, origin, routed)
+                continue
+            if request is not None:
+                self.handle_request(request, origin, routed)
         return routed
+
+    def handle_request(
+        self, request: Dict[str, Any], origin: Any, routed: List[Routed]
+    ) -> None:
+        """Journal ``request`` if it can mutate state, then dispatch it.
+
+        Durability is per request: the append completes before the core
+        sees the request, so its effects never exist unjournaled.
+        Bypassed: non-mutating ops, and idempotent retries already
+        decided or pending in the dedup window (journaling a retry
+        would replay a second, state-mutating copy of the op).
+        """
+        rid = request.get("rid")
+        if request["op"] not in JOURNALED_OPS or (
+            rid is not None and self.gateway.dedup_status(rid) != "unknown"
+        ):
+            self.gateway.handle_request(request, origin, routed)
+            return
+        self.journal.append(request)
+        self.gateway.handle_request(request, origin, routed)
+        self._ops_since_snapshot += 1
+        self._maybe_compact()
+
+    def handle_decode_error(
+        self, exc: ProtocolError, origin: Any, routed: List[Routed]
+    ) -> None:
+        """Undecodable requests mutate nothing: straight to the core.
+
+        Only its error counter moves, and counters are diagnostics, not
+        part of the durability contract.
+        """
+        self.gateway.handle_decode_error(exc, origin, routed)
 
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Event-loop-safe :meth:`handle_frames` (journals line by
-        line via :meth:`handle_line_async`)."""
-        routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(await self.handle_line_async(line, origin))
-        return routed
+        """Event-loop-safe :meth:`handle_frames`: the whole chunk —
+        decode, journal appends (flush, optional fsync), dispatch and
+        compaction — runs in the default executor, one hop per chunk.
+
+        Ordering is identical to the sync path — each append completes
+        before its request dispatches, and the server's dispatch lock is
+        held across the whole call — so durability and bitwise
+        determinism are unchanged.
+        """
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.handle_frames, frames, origin)
 
     def drain(self) -> List[Routed]:
         """Journal a synthetic drain record, then flush pending batches.
@@ -497,39 +512,10 @@ class DurableGateway:
         self._maybe_compact()
         return routed
 
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
-        """Event-loop-safe :meth:`handle_line`: journal I/O (append,
-        flush, optional fsync) and compaction run in the default
-        executor so the loop keeps scheduling other coroutines.
-
-        Ordering is identical to the sync path — the journal append
-        *completes* before the core dispatches, and the server's
-        dispatch lock is held across the whole call, so durability and
-        bitwise determinism are unchanged.
-        """
-        request = self._journaled_request(line)
-        if request is None:
-            return self.gateway.handle_line(line, origin)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.journal.append, request)
-        routed = self.gateway.handle_line(line, origin)
-        self._ops_since_snapshot += 1
-        await loop.run_in_executor(None, self._maybe_compact)
-        return routed
-
     async def drain_async(self) -> List[Routed]:
-        """Event-loop-safe :meth:`drain`; same offloading as
-        :meth:`handle_line_async`."""
-        if not any(pipeline.pending for pipeline in self.gateway.registry):
-            return []
+        """Event-loop-safe :meth:`drain`, in the default executor."""
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, self.journal.append, {"op": "drain", "synthetic": True}
-        )
-        routed = self.gateway.drain()
-        self._ops_since_snapshot += 1
-        await loop.run_in_executor(None, self._maybe_compact)
-        return routed
+        return await loop.run_in_executor(None, self.drain)
 
     # -- Compaction ----------------------------------------------------
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import random
 import sys
 import threading
@@ -53,7 +52,7 @@ from ..locking import ResourceSpec, compute_betas
 from ..sim.pipeline import PipelineSimulation
 from ..sim.stage import Segment
 from .client import GatewayClient, GatewayControllerProxy, InProcessTransport, TcpTransport
-from .gateway import AdmissionGateway, GatewayServer, install_event_loop
+from .gateway import AdmissionGateway, GatewayServer
 from .protocol import json_safe
 from .snapshot import controller_snapshot, restore_controller, verify_restored
 
@@ -889,14 +888,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=30.0,
         help="upper bound (seconds) on any single TCP wait",
     )
-    parser.add_argument(
-        "--loop",
-        choices=["auto", "stdlib", "uvloop"],
-        default=os.environ.get("REPRO_SERVE_LOOP", "auto"),
-        help="event-loop backend for the TCP server thread "
-        "(default from $REPRO_SERVE_LOOP, else auto); reports and "
-        "gate results are identical on every backend",
-    )
     parser.add_argument("--out", help="also write the report to this path")
     parser.add_argument(
         "--selftest",
@@ -941,11 +932,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--list", action="store_true", help="list scenarios and exit"
     )
     args = parser.parse_args(argv)
-
-    try:
-        install_event_loop(args.loop)
-    except (RuntimeError, ValueError) as exc:
-        parser.error(str(exc))
 
     if args.list:
         for scenario in SCENARIOS:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from ..core.task import PipelineTask, make_task
 from ..locking.model import resources_from_wire, resources_to_wire
@@ -87,7 +87,6 @@ __all__ = [
     "task_from_wire",
     "frontier_from_wire",
     "json_safe",
-    "rewrite_response_id",
 ]
 
 #: Every operation the gateway dispatches, in documentation order.
@@ -214,8 +213,8 @@ _DOT = 0x2E
 #: ``{`` after stripping these bytes decodes to a line whose
 #: ``str.strip`` result is that same stripped text: any *unicode*
 #: whitespace would have to sit inside the braces, where ``strip``
-#: cannot reach it.  The gateway's fused frame lane relies on this to
-#: skip the ``bytes -> str -> strip`` round trip per line.
+#: cannot reach it.  :func:`parse_request` relies on this to skip the
+#: ``bytes -> str -> strip`` round trip per frame.
 _FRAME_WS = b" \t\r\x0b\x0c"
 
 
@@ -242,16 +241,6 @@ def _folded_holds_huge_int(folded: bytes) -> bool:
     return folded.find(_HUGE_NEGATIVE_RUN) >= 0
 
 
-def _may_hold_huge_int(line: str) -> bool:
-    """Whether ``line`` may contain an integer token the accelerator
-    would round (see :data:`_DIGIT_FOLD`); unencodable lines screen
-    positive so the strict path owns their error bytes."""
-    try:
-        folded = line.encode("utf-8").translate(_DIGIT_FOLD)
-    except UnicodeEncodeError:
-        return True
-    return _folded_holds_huge_int(folded)
-
 #: Canonical (interned) instance per op name.  parse_request swaps the
 #: freshly parsed op string for the canonical one so every downstream
 #: dispatch-dict lookup and ``op != "admit"`` comparison hits the
@@ -259,8 +248,84 @@ def _may_hold_huge_int(line: str) -> bool:
 _OP_CANON = {op: op for op in OPS}
 
 
-def _validate_envelope(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Shared envelope validation (op / id / rid / pipeline operand)."""
+def parse_request(line: Union[str, bytes]) -> Optional[Dict[str, Any]]:
+    """Decode and validate one request: an in-process line or a frame.
+
+    A frame is the ``bytes`` :class:`NdjsonFramer` delivers.  It decodes
+    exactly as the line ``frame.decode("utf-8", errors="replace")
+    .strip()`` would, and a frame that is blank after that strip
+    carries no request: the result is ``None``, never an error.  A
+    frame that begins with ``{`` once ASCII whitespace is stripped
+    skips the ``bytes -> str -> strip`` round trip (see
+    :data:`_FRAME_WS`; its byte length also bounds its char length).
+
+    Decoding prefers the ``orjson`` accelerator when three screens
+    prove it cannot diverge from the strict stdlib path: the line is
+    within the size limit, its total ``{``/``[`` count bounds nesting
+    at :data:`MAX_REQUEST_DEPTH` (each nesting level spends at least
+    one opening bracket), and it carries no integer token the
+    accelerator would round (see :data:`_DIGIT_FOLD`).  The accelerator
+    rejects ``Infinity``/``NaN`` literals *and* overflowing numbers
+    like ``1e999`` outright, so a successful accelerated parse needs no
+    payload walk.  Any accelerator failure re-parses on the strict
+    path, keeping error bytes identical to the stdlib-only protocol.
+
+    Returns:
+        The decoded request object with a validated envelope, or
+        ``None`` for a blank frame.
+
+    Raises:
+        ProtocolError: On an oversized line, malformed JSON (including
+            non-finite number literals and overflowing numbers like
+            ``1e999``), nesting deeper than :data:`MAX_REQUEST_DEPTH`,
+            a non-object payload, a missing/unknown ``op``, a missing
+            ``pipeline`` operand, or an ill-typed ``rid``.
+    """
+    raw: Optional[bytes] = None
+    text: Optional[str] = None
+    if isinstance(line, str):
+        text = line
+    else:
+        raw = line.strip(_FRAME_WS)
+        if raw[:1] != b"{" or len(raw) > MAX_REQUEST_CHARS:
+            raw = None
+            text = line.decode("utf-8", errors="replace").strip()
+            if not text:
+                return None
+    if text is not None:
+        if len(text) > MAX_REQUEST_CHARS:
+            raise ProtocolError(
+                "too-large",
+                f"request line of {len(text)} chars exceeds the "
+                f"{MAX_REQUEST_CHARS}-char limit",
+            )
+        if orjson is not None:
+            try:
+                raw = text.encode("utf-8")
+            except UnicodeEncodeError:
+                pass  # lone surrogates: the strict path owns the bytes
+    request: Any = None
+    if raw is not None and orjson is not None:
+        # The digit fold doubles as the depth screen's input: ``{`` and
+        # ``[`` are single ASCII bytes no UTF-8 continuation byte can
+        # alias, so counting them on the folded bytes equals counting
+        # them on the string.  orjson parses the bytes directly.
+        folded = raw.translate(_DIGIT_FOLD)
+        if (
+            folded.count(b"{") + folded.count(b"[") <= MAX_REQUEST_DEPTH
+            and not _folded_holds_huge_int(folded)
+        ):
+            try:
+                request = orjson.loads(raw)
+            except Exception:
+                pass  # re-parsed below: the strict path owns error bytes
+    if request is None:
+        if text is None:  # a frame that skipped the str round trip
+            text = cast(bytes, line).decode("utf-8", errors="replace").strip()
+        request = _parse_request_strict(text)
+    elif type(request) is not dict:
+        raise ProtocolError("bad-request", "request must be a JSON object")
+    # The envelope: op / id / rid / pipeline operand.
     try:
         # One hashed lookup replaces isinstance + membership: the keys
         # are exactly the op strings, no non-string can equal one, and
@@ -291,102 +356,12 @@ def _validate_envelope(request: Dict[str, Any]) -> Dict[str, Any]:
     return request
 
 
-def parse_request(line: str) -> Dict[str, Any]:
-    """Parse and validate one request line.
-
-    Decoding prefers the ``orjson`` accelerator when three screens
-    prove it cannot diverge from the strict stdlib path: the line is
-    within the size limit, its total ``{``/``[`` count bounds nesting
-    at :data:`MAX_REQUEST_DEPTH` (each nesting level spends at least
-    one opening bracket), and it carries no integer token the
-    accelerator would round (see :func:`_may_hold_huge_int`).  The
-    accelerator rejects
-    ``Infinity``/``NaN`` literals *and* overflowing numbers like
-    ``1e999`` outright, so a successful accelerated parse needs no
-    payload walk.  Any accelerator failure re-parses on the strict
-    path, keeping error bytes identical to the stdlib-only protocol.
-
-    Returns:
-        The decoded request object with a validated envelope.
-
-    Raises:
-        ProtocolError: On an oversized line, malformed JSON (including
-            non-finite number literals and overflowing numbers like
-            ``1e999``), nesting deeper than :data:`MAX_REQUEST_DEPTH`,
-            a non-object payload, a missing/unknown ``op``, a missing
-            ``pipeline`` operand, or an ill-typed ``rid``.
-    """
-    if len(line) > MAX_REQUEST_CHARS:
-        raise ProtocolError(
-            "too-large",
-            f"request line of {len(line)} chars exceeds the "
-            f"{MAX_REQUEST_CHARS}-char limit",
-        )
-    if orjson is not None:
-        # The digit fold doubles as the depth screen's input: ``{`` and
-        # ``[`` are single ASCII bytes no UTF-8 continuation byte can
-        # alias, so counting them on the folded bytes equals counting
-        # them on the string — one encode serves both screens, and the
-        # raw encoding also feeds the accelerator (orjson parses bytes
-        # directly, skipping its internal re-encode of str input).
-        try:
-            raw = line.encode("utf-8")
-        except UnicodeEncodeError:
-            # Unencodable (lone surrogates): strict path owns the bytes.
-            return _parse_request_strict(line)
-        folded = raw.translate(_DIGIT_FOLD)
-        if (
-            folded.count(b"{") + folded.count(b"[") <= MAX_REQUEST_DEPTH
-            and not _folded_holds_huge_int(folded)
-        ):
-            try:
-                request = orjson.loads(raw)
-            except Exception:
-                return _parse_request_strict(line)
-            if type(request) is not dict:
-                raise ProtocolError(
-                    "bad-request", "request must be a JSON object"
-                )
-            # _validate_envelope, inlined (the call and its re-gets
-            # are measurable at admission line rate); the strict path
-            # below still routes through the shared function.
-            try:
-                canon = _OP_CANON.get(request.get("op"))
-            except TypeError:
-                canon = None
-            if canon is None:
-                op = request.get("op")
-                raise ProtocolError(
-                    "unknown-op",
-                    f"op must be one of {', '.join(OPS)}; got {op!r}",
-                )
-            request["op"] = canon
-            request_id = request.get("id")
-            if request_id is not None and not isinstance(request_id, (int, str)):
-                raise ProtocolError(
-                    "bad-request", "id must be an integer or string"
-                )
-            rid = request.get("rid")
-            if rid is not None and (
-                not isinstance(rid, str) or not rid or len(rid) > 200
-            ):
-                raise ProtocolError(
-                    "bad-request",
-                    "rid must be a non-empty string of at most 200 chars",
-                )
-            if canon in PIPELINE_OPS and not isinstance(
-                request.get("pipeline"), str
-            ):
-                raise ProtocolError(
-                    "bad-request",
-                    f"op {canon!r} requires a string 'pipeline' operand",
-                )
-            return request
-    return _parse_request_strict(line)
-
-
 def _parse_request_strict(line: str) -> Dict[str, Any]:
-    """Stdlib reference parser — the source of truth for error bytes."""
+    """Stdlib reference decoder — the source of truth for error bytes.
+
+    Returns the payload-checked object; :func:`parse_request` checks
+    its envelope.
+    """
     try:
         request = json.loads(line, parse_constant=_reject_nonfinite)
     except RecursionError:
@@ -400,7 +375,7 @@ def _parse_request_strict(line: str) -> Dict[str, Any]:
     if not isinstance(request, dict):
         raise ProtocolError("bad-request", "request must be a JSON object")
     _validate_payload(request)
-    return _validate_envelope(request)
+    return request
 
 
 class NdjsonFramer:
@@ -651,18 +626,6 @@ def admit_response_batch(
                 + "}"
             )
     return out
-
-
-def rewrite_response_id(line: str, request: Dict[str, Any]) -> str:
-    """Re-encode a cached response with the retry request's ``id`` echo.
-
-    Deduplicated retries receive the originally computed response, but
-    the retry correlates replies by its *own* request id — only the
-    ``id`` field is rewritten; the decision payload is untouched.
-    """
-    doc = json.loads(line)
-    doc["id"] = request.get("id")
-    return encode(doc)
 
 
 def error_response(

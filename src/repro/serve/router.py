@@ -37,9 +37,10 @@ the exact-``U_j(t)`` invariants.
 
 from __future__ import annotations
 
+import asyncio
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .client import GatewayClient, GatewayError
 from .gateway import GatewayLike, Routed
@@ -208,7 +209,9 @@ class ShardGateway:
 
     Ops without a ``pipeline`` operand (``health``, fleet-level
     ``stats``/``drain``) always pass through, as do unparseable lines
-    (the inner gateway renders the canonical error for those).
+    (the inner gateway renders the canonical error for those).  As the
+    outermost layer it decodes each request once; owned requests pass
+    inward as the same dict.
 
     Args:
         inner: The wrapped gateway core.
@@ -250,62 +253,57 @@ class ShardGateway:
             )
         self.shard_map = shard_map
 
-    def _bounce(self, line: str) -> Optional[str]:
-        """The wrong-shard response for ``line``, or ``None`` to pass."""
-        try:
-            request = parse_request(line)
-        except ProtocolError:
-            return None  # the inner gateway renders the canonical error
-        name = request.get("pipeline")
-        if not isinstance(name, str):
-            return None
-        owner = self.shard_map.shard_of(name)
-        if owner == self.shard:
-            return None
-        self.bounced += 1
-        return wrong_shard_response(request, owner, self.shard_map)
-
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]:
-        bounce = self._bounce(line)
-        if bounce is not None:
-            return [(origin, bounce)]
-        return self.inner.handle_line(line, origin)
+        return self.handle_frames((line,), origin)
 
     def handle_frames(
-        self, frames: Sequence[bytes], origin: Any = None
+        self, frames: Sequence[Union[bytes, str]], origin: Any = None
     ) -> List[Routed]:
-        """Per-line dispatch of a framed chunk.
-
-        Every line needs its own ownership check (one chunk can mix
-        pipelines), so the shard filter stays line-at-a-time; only the
-        unsharded inner core fuses chunks.
-        """
+        """Decode each frame once, then bounce or pass it inward (the
+        loop of :meth:`AdmissionGateway.handle_frames`)."""
         routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(self.handle_line(line, origin))
+        for frame in frames:
+            try:
+                request = parse_request(frame)
+            except ProtocolError as exc:
+                self.handle_decode_error(exc, origin, routed)
+                continue
+            if request is not None:
+                self.handle_request(request, origin, routed)
         return routed
+
+    def handle_request(
+        self, request: Dict[str, Any], origin: Any, routed: List[Routed]
+    ) -> None:
+        """Bounce ``request`` if another shard owns its pipeline, else
+        pass it inward."""
+        name = request.get("pipeline")
+        if isinstance(name, str):
+            owner = self.shard_map.shard_of(name)
+            if owner != self.shard:
+                self.bounced += 1
+                routed.append(
+                    (origin, wrong_shard_response(request, owner, self.shard_map))
+                )
+                return
+        self.inner.handle_request(request, origin, routed)
+
+    def handle_decode_error(
+        self, exc: ProtocolError, origin: Any, routed: List[Routed]
+    ) -> None:
+        self.inner.handle_decode_error(exc, origin, routed)
 
     def drain(self) -> List[Routed]:
         return self.inner.drain()
 
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
-        bounce = self._bounce(line)  # pure compute, loop-safe
-        if bounce is not None:
-            return [(origin, bounce)]
-        return await self.inner.handle_line_async(line, origin)
-
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Event-loop-safe :meth:`handle_frames` (per-line, see there)."""
-        routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(await self.handle_line_async(line, origin))
-        return routed
+        """Event-loop-safe :meth:`handle_frames`: the whole chunk runs in
+        the default executor, one hop per chunk, because the inner stack
+        may journal (fleet workers always do)."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.handle_frames, frames, origin)
 
     async def drain_async(self) -> List[Routed]:
         return await self.inner.drain_async()

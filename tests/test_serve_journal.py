@@ -233,10 +233,10 @@ class TestDurableGateway:
 class TestAsyncOffload:
     """The event-loop-safe entry points must be byte-equivalent to the
     sync ones: same responses, same journal bytes, same snapshots —
-    only *where* the I/O runs (the default executor) changes."""
+    only *where* the work runs (one executor hop per chunk) changes."""
 
     @staticmethod
-    def _workload():
+    def _chunks():
         lines = [json.dumps({"id": 0, "op": "register", "pipeline": "web",
                              "policy": {"num_stages": 2, "max_batch": 2}})]
         for n in range(1, 6):
@@ -247,7 +247,9 @@ class TestAsyncOffload:
             }))
         lines.append('{"id": 99, "op": "health"}')
         lines.append("{not json")
-        return lines
+        frames = [line.encode() for line in lines]
+        # Multi-line chunks; compaction (every 3 ops) lands mid-chunk.
+        return [frames[:2], frames[2:5], frames[5:]]
 
     def test_async_path_is_bitwise_identical_to_sync(self, tmp_path):
         import asyncio
@@ -259,13 +261,13 @@ class TestAsyncOffload:
         sync_gw = _durable(sync_dir, snapshot_every=3)
         async_gw = _durable(async_dir, snapshot_every=3)
 
-        sync_out = [sync_gw.handle_line(line) for line in self._workload()]
+        sync_out = [sync_gw.handle_frames(chunk) for chunk in self._chunks()]
         sync_out.append(sync_gw.drain())
         sync_gw.close()
 
         async def run():
-            out = [await async_gw.handle_line_async(line)
-                   for line in self._workload()]
+            out = [await async_gw.handle_frames_async(chunk)
+                   for chunk in self._chunks()]
             out.append(await async_gw.drain_async())
             return out
 
@@ -275,26 +277,27 @@ class TestAsyncOffload:
         assert async_out == sync_out
         assert (async_dir / "journal.ndjson").read_bytes() == \
             (sync_dir / "journal.ndjson").read_bytes()
-        assert (async_dir / "snapshot.json").exists() == \
-            (sync_dir / "snapshot.json").exists()
-        if (sync_dir / "snapshot.json").exists():
-            assert (async_dir / "snapshot.json").read_bytes() == \
-                (sync_dir / "snapshot.json").read_bytes()
+        assert (sync_dir / "snapshot.json").exists()
+        assert (async_dir / "snapshot.json").read_bytes() == \
+            (sync_dir / "snapshot.json").read_bytes()
 
     def test_plain_gateway_async_facade(self):
         import asyncio
 
         gateway = AdmissionGateway()
-        line = json.dumps({"id": 0, "op": "register", "pipeline": "web",
-                           "policy": {"num_stages": 2}})
+        frames = [
+            json.dumps({"id": 0, "op": "register", "pipeline": "web",
+                        "policy": {"num_stages": 2}}).encode(),
+            b'{"id": 1, "op": "health"}',
+        ]
         twin = AdmissionGateway()
 
         async def run():
-            routed = await gateway.handle_line_async(line)
+            routed = await gateway.handle_frames_async(frames)
             routed += await gateway.drain_async()
             return routed
 
-        assert asyncio.run(run()) == twin.handle_line(line) + twin.drain()
+        assert asyncio.run(run()) == twin.handle_frames(frames) + twin.drain()
 
 
 class TestRenameDurability:
@@ -390,35 +393,49 @@ class TestRenameDurability:
         ]
 
 
+def _admit_frame(request_id, task_id, rid):
+    return json.dumps({
+        "id": request_id, "rid": rid, "op": "admit", "pipeline": "web",
+        "task": {"task_id": task_id, "arrival": 0.1 * task_id,
+                 "deadline": 1.0 + task_id, "costs": [0.01, 0.01]},
+    }).encode()
+
+
 class TestDurableHandleFrames:
     """The durable wrapper's chunk ingest is the per-line loop, exactly.
 
-    Durability is per request — each mutating line must reach the
-    journal before its effects exist — so ``DurableGateway`` must not
-    take the fused chunk lane.  Two identical journals fed the same
-    frames, one through ``handle_frames`` and one through the decode/
-    strip/``handle_line`` loop, must produce identical responses AND
-    byte-identical journals.
+    Durability is per request — each mutating request must reach the
+    journal before its effects exist.  Two identical journals fed the
+    same frames, one through ``handle_frames`` and one through the
+    decode/strip/``handle_line`` loop, must produce identical
+    responses AND byte-identical journals and snapshots, over a chunk
+    with batched admissions, an idempotent retry, a pending duplicate,
+    and compactions (one deferred by a pending batch) mid-chunk.
     """
 
     FRAMES = [
         json.dumps({"id": 0, "op": "register", "pipeline": "web",
-                    "policy": {"num_stages": 2}}).encode(),
-        json.dumps({"id": 1, "rid": "r1", "op": "admit", "pipeline": "web",
-                    "task": {"arrival_time": 0.1, "deadline": 1.0,
-                             "computation_times": [0.01, 0.01],
-                             "task_id": 1}}).encode(),
+                    "policy": {"num_stages": 2, "max_batch": 2}}).encode(),
+        _admit_frame(1, 1, "r1"),
         b"   ",
         b"not json",
-        json.dumps({"id": 2, "op": "stats", "pipeline": "web"}).encode(),
+        _admit_frame(2, 2, "r2"),  # flushes the batch; compaction
+        _admit_frame(3, 1, "r1"),  # retry of a decided rid
+        _admit_frame(4, 4, "r4"),  # queued
+        _admit_frame(5, 4, "r4"),  # retry while still pending
+        json.dumps({"id": 6, "op": "expire", "pipeline": "web",
+                    "now": 0.2}).encode(),  # barrier: flushes r4
+        _admit_frame(7, 7, "r7"),  # queued: compaction deferred
+        json.dumps({"id": 8, "op": "stats", "pipeline": "web"}).encode(),
+        b'{"id": 9, "op": "health"}',
     ]
 
     def test_matches_per_line_loop(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        fused = _durable(tmp_path / "a")
+        fused = _durable(tmp_path / "a", snapshot_every=3)
         fused_routed = fused.handle_frames(self.FRAMES, origin="c")
-        mirrored = _durable(tmp_path / "b")
+        mirrored = _durable(tmp_path / "b", snapshot_every=3)
         mirrored_routed = []
         for raw in self.FRAMES:
             line = raw.decode("utf-8", errors="replace").strip()
@@ -427,7 +444,26 @@ class TestDurableHandleFrames:
         assert fused_routed == mirrored_routed
         fused.journal.close()
         mirrored.journal.close()
-        assert (
-            (tmp_path / "a" / "journal.ndjson").read_bytes()
-            == (tmp_path / "b" / "journal.ndjson").read_bytes()
-        )
+        for name in ("journal.ndjson", "snapshot.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+
+        responses = {}
+        for _, line in fused_routed:
+            doc = json.loads(line)
+            responses.setdefault(doc["id"], doc)
+        assert responses[1]["admitted"] is True
+        assert responses[2]["admitted"] is True
+        assert responses[3] == dict(responses[1], id=3)  # cached decision
+        assert responses[5]["error"] == "duplicate-request"
+        assert responses[4]["admitted"] is True
+        assert responses[7]["admitted"] is True
+        assert fused.gateway.dedup_hits == 1
+        # Compaction ran mid-chunk after the 3rd journaled op, skipped
+        # at the 6th (r7 pending), and ran at the 7th (stats flushed
+        # it); the retries were never journaled.
+        snapshot = json.loads((tmp_path / "a" / "snapshot.json").read_text())
+        assert snapshot["seq"] == 7
+        assert fused.journal.last_seq == 7
+        assert scan_journal(tmp_path / "a" / "journal.ndjson").records == []

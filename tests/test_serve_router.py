@@ -1,12 +1,17 @@
 """Shard map, worker-side enforcement, and client-side re-resolution."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.serve import gateway as gateway_module
+from repro.serve import journal as journal_module
+from repro.serve import protocol as protocol_module
+from repro.serve import router as router_module
 from repro.serve.client import GatewayClient, GatewayError, InProcessTransport
 from repro.serve.gateway import AdmissionGateway
-from repro.serve.journal import DurableGateway, Journal
+from repro.serve.journal import DurableGateway, Journal, scan_journal
 from repro.serve.protocol import ProtocolError, encode
 from repro.serve.router import (
     SHARD_MAP_FORMAT,
@@ -252,3 +257,116 @@ class TestShardHandleFrames:
                 mirrored_routed.extend(mirrored.handle_line(line, "c"))
         assert fused_routed == mirrored_routed
         assert fused.bounced == mirrored.bounced == 1
+
+    @staticmethod
+    def _durable_stack(path, shard_map):
+        journal = Journal(path / "journal.ndjson")
+        durable = DurableGateway(
+            AdmissionGateway(), journal, path / "snapshot.json", snapshot_every=0
+        )
+        return ShardGateway(durable, 0, shard_map), durable
+
+    @staticmethod
+    def _interleaved_frames():
+        """Owned and wrong-shard requests, alternating, in one chunk."""
+        def admit(request_id, name):
+            return encode({
+                "id": request_id, "rid": f"r{request_id}", "op": "admit",
+                "pipeline": name,
+                "task": {"task_id": request_id, "arrival": 0.0,
+                         "deadline": 1.0, "costs": [0.01, 0.01]},
+            })
+
+        return [
+            _register_line("owned", 1).encode(),
+            _register_line("foreign", 2).encode(),
+            admit(3, "owned").encode(),
+            admit(4, "foreign").encode(),
+            admit(5, "owned").encode(),
+            b"garbage",
+            encode({"id": 6, "op": "expire", "pipeline": "foreign",
+                    "now": 0.5}).encode(),
+            encode({"id": 7, "op": "stats", "pipeline": "owned"}).encode(),
+            b'{"id": 8, "op": "health"}',
+        ]
+
+    def test_durable_inner_keeps_order_and_journals_only_owned(self, tmp_path):
+        shard_map = ShardMap(
+            shards=2, assignments=(("owned", 0), ("foreign", 1))
+        )
+        frames = self._interleaved_frames()
+        (tmp_path / "fused").mkdir()
+        (tmp_path / "mirror").mkdir()
+        fused, fused_durable = self._durable_stack(tmp_path / "fused", shard_map)
+        mirrored, mirrored_durable = self._durable_stack(
+            tmp_path / "mirror", shard_map
+        )
+        try:
+            routed = fused.handle_frames(frames, origin="c")
+            mirrored_routed = []
+            for raw in frames:
+                mirrored_routed.extend(mirrored.handle_line(raw.decode(), "c"))
+        finally:
+            fused_durable.close()
+            mirrored_durable.close()
+        assert routed == mirrored_routed
+        responses = [json.loads(line) for _, line in routed]
+        # One response per request, in request order (the garbage
+        # frame's error carries no id echo).
+        assert [r["id"] for r in responses] == [1, 2, 3, 4, 5, None, 6, 7, 8]
+        assert [r.get("error") for r in responses] == [
+            None, "wrong-shard", None, "wrong-shard", None, "bad-json",
+            "wrong-shard", None, None,
+        ]
+        assert responses[2]["admitted"] and responses[4]["admitted"]
+        assert fused.bounced == 3
+        records = scan_journal(tmp_path / "fused" / "journal.ndjson").records
+        assert [(r["op"]["op"], r["op"]["id"]) for r in records] == [
+            ("register", 1), ("admit", 3), ("admit", 5), ("stats", 7),
+        ]
+        assert {r["op"]["pipeline"] for r in records} == {"owned"}
+        assert (tmp_path / "fused" / "journal.ndjson").read_bytes() == (
+            tmp_path / "mirror" / "journal.ndjson"
+        ).read_bytes()
+
+    def test_each_request_is_decoded_once(self, tmp_path, monkeypatch):
+        """Shard -> durable -> core decodes each request exactly once:
+        the outermost layer decodes, the inner layers journal or bounce
+        the same dict."""
+        decoded = []
+        real = protocol_module.parse_request
+
+        def counting(line):
+            decoded.append(line)
+            return real(line)
+
+        modules = (protocol_module, gateway_module, journal_module, router_module)
+        for module in modules:
+            if hasattr(module, "parse_request"):
+                monkeypatch.setattr(module, "parse_request", counting)
+        loads = []
+        orjson = protocol_module.orjson
+        if orjson is not None:
+            def counting_loads(raw):
+                loads.append(raw)
+                return orjson.loads(raw)
+
+            shim = SimpleNamespace(loads=counting_loads)
+            for module in modules:
+                if getattr(module, "orjson", None) is orjson:
+                    monkeypatch.setattr(module, "orjson", shim)
+        shard_map = ShardMap(
+            shards=2, assignments=(("owned", 0), ("foreign", 1))
+        )
+        frames = [f for f in self._interleaved_frames() if f != b"garbage"]
+        gateway, durable = self._durable_stack(tmp_path, shard_map)
+        try:
+            routed = gateway.handle_frames(frames, origin="c")
+        finally:
+            durable.close()
+        assert len(routed) == len(frames)
+        assert len(decoded) == len(frames)
+        assert decoded == frames
+        if orjson is not None:
+            assert len(loads) == len(frames)
+
