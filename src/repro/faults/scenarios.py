@@ -425,8 +425,8 @@ def brownout(seed: int) -> _Result:
 def serve_crash(seed: int) -> _Result:
     """Gateway crash/recovery chaos: kill the serving process mid-batch.
 
-    Sweeps the number of crash/recover cycles driven by the serve
-    layer's durability harness (``repro.serve.recovery``): every cycle
+    Sweeps the number of crash/recover cycles of the serve layer's
+    chaos harness (``repro.serve.chaos``, crash topology): every cycle
     journals live traffic, crashes the gateway at a random operation
     (including between the write-ahead record and the state mutation,
     and mid-record with a torn tail), recovers from snapshot + journal,
@@ -436,11 +436,11 @@ def serve_crash(seed: int) -> _Result:
     """
     # Imported lazily: repro.serve imports from repro.faults, so a
     # module-level import here would be a cycle.
-    from ..serve.recovery import run_crash_chaos
+    from ..serve.chaos import run_chaos
 
     points: List[_Result] = []
     for cycles in (6, 12, 24):
-        report = run_crash_chaos(seed=seed, cycles=cycles)
+        report = run_chaos("crash", seed=seed, cycles=cycles)
         admissions = report["admissions"]
         equivalence = report["equivalence"]
         points.append(

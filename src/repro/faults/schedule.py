@@ -24,7 +24,7 @@ Fault                     Violated assumption
 The *network* fault family extends the same pure-data discipline to
 the serving fleet's control plane (see DESIGN.md §13).  Each model
 breaks one assumption of the distributed admission protocol; the fleet
-chaos harness (:mod:`repro.serve.fleetchaos`) applies a
+chaos gate (:mod:`repro.serve.chaos`, fleet topology) applies a
 :class:`NetworkFaultSchedule` deterministically, so every chaos run is
 replayable from its seed:
 

@@ -57,7 +57,6 @@ from .client import (
     RetryPolicy,
     TcpTransport,
 )
-from .degchaos import degradation_chaos_gate_failures, run_degradation_chaos
 from .degradation import (
     OBSERVATION_KINDS,
     SACRIFICE_LEDGER_LIMIT,
@@ -74,7 +73,6 @@ from .fleet import (
     ProcessWorker,
     WorkerUnavailable,
 )
-from .fleetchaos import fleet_chaos_gate_failures, run_fleet_chaos
 from .gateway import AdmissionGateway, GatewayLike, GatewayServer
 from .journal import (
     GATEWAY_SNAPSHOT_FORMAT,
@@ -91,7 +89,6 @@ from .recovery import (
     RecoveryReport,
     recover,
     registry_fingerprint,
-    run_crash_chaos,
 )
 from .registry import PipelinePolicy, PipelineRegistry, ServedPipeline
 from .snapshot import (
@@ -145,17 +142,12 @@ __all__ = [
     "TcpTransport",
     "WorkerUnavailable",
     "controller_snapshot",
-    "degradation_chaos_gate_failures",
-    "fleet_chaos_gate_failures",
     "fsync_dir",
     "hysteresis_from_wire",
     "hysteresis_to_wire",
     "recover",
     "registry_fingerprint",
     "restore_controller",
-    "run_crash_chaos",
-    "run_degradation_chaos",
-    "run_fleet_chaos",
     "scan_journal",
     "verify_restored",
 ]

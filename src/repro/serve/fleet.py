@@ -29,10 +29,11 @@ Two worker flavours share the supervisor logic:
 :class:`InProcessWorker`
     A :class:`~repro.serve.journal.DurableGateway` wrapped in a
     :class:`~repro.serve.router.ShardGateway`, living in this process
-    with its own state directory.  "SIGKILL" is modelled exactly as
-    the PR-4 crash kinds do — close without drain, optionally tearing
-    or pre-acking the in-flight journal record — which keeps the fleet
-    chaos gate (:mod:`repro.serve.fleetchaos`) fully deterministic.
+    with its own state directory.  "SIGKILL" is modelled by
+    :func:`land_crash`, the crash kinds of every chaos gate — close
+    without drain, optionally tearing or pre-acking the in-flight
+    journal record — which keeps the fleet chaos gate
+    (:mod:`repro.serve.chaos`) fully deterministic.
 
 :class:`ProcessWorker` / :class:`ProcessFleet`
     Real ``python -m repro.serve`` subprocesses, each bound to its own
@@ -55,6 +56,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..faults.schedule import WORKER_KILL_KINDS
 from .gateway import DEFAULT_DEDUP_WINDOW
 from .journal import DEFAULT_SNAPSHOT_EVERY, DurableGateway
 from .protocol import encode
@@ -67,6 +69,7 @@ __all__ = [
     "WORKER_UNAVAILABLE",
     "WORKER_RECOVERING",
     "DEFAULT_MISS_THRESHOLD",
+    "land_crash",
     "FleetError",
     "WorkerUnavailable",
     "HeartbeatMonitor",
@@ -175,22 +178,44 @@ class HeartbeatMonitor:
         self._transition(worker, WORKER_RECOVERING, probe)
 
 
+def land_crash(
+    durable: DurableGateway, kind: str, doc: Dict[str, Any], keep: float = 0.5
+) -> List[str]:
+    """Land a crash of ``kind`` on the in-flight request ``doc``.
+
+    The kinds are :data:`~repro.faults.schedule.WORKER_KILL_KINDS`:
+
+    ``torn``
+        kill -9 mid-journal-write: a ``keep`` fraction of the record
+        lands on disk; the op was never applied.
+    ``after_journal``
+        Crash between WAL append and the mutation: the op is durable
+        (recovery replays it) but nobody answered.
+    ``after_apply``
+        Crash after applying, before the answer reached the client.
+
+    Returns:
+        The response lines the crash loses (``after_apply`` only).  The
+        caller then closes ``durable`` without draining it.
+    """
+    if kind not in WORKER_KILL_KINDS:
+        raise ValueError(f"unknown crash kind {kind!r}")
+    if kind == "torn":
+        durable.journal.append_torn(doc, keep=keep)
+    elif kind == "after_journal":
+        durable.journal.append(doc)
+    else:
+        return [response for _, response in durable.handle_line(encode(doc))]
+    return []
+
+
 class InProcessWorker:
     """One shard's durable gateway, hosted in this process.
 
     Owns a state directory (snapshot + journal) and wraps the durable
     gateway in a :class:`ShardGateway` so misrouted requests bounce
-    before touching the journal.  Crash injection mirrors the PR-4
-    crash kinds so the fleet chaos harness stays deterministic:
-
-    ``torn``
-        kill -9 mid-journal-write: a prefix of the in-flight record
-        lands on disk; the op was never applied.
-    ``after_journal``
-        Crash between WAL append and the mutation: the op is durable
-        (recovery replays it) but the worker never answered.
-    ``after_apply``
-        Crash after applying, before the answer reached the client.
+    before touching the journal.  :meth:`kill` lands its crash through
+    :func:`land_crash`, the crash path of the chaos gates.
     """
 
     def __init__(
@@ -262,22 +287,15 @@ class InProcessWorker:
         """Whole-worker SIGKILL, optionally mid-operation.
 
         With ``doc`` the crash lands *on* that operation according to
-        ``kind`` (see the class docstring); without it the worker
-        simply dies between operations.  Either way nothing is drained
-        or flushed — pending batches die with the process and must come
+        ``kind`` (see :func:`land_crash`); without it the worker simply
+        dies between operations.  Either way nothing is drained or
+        flushed — pending batches die with the process and must come
         back via recovery replay.
         """
         if self.durable is None:
             raise WorkerUnavailable(f"worker {self.shard} is already down")
         if doc is not None:
-            if kind == "torn":
-                self.durable.journal.append_torn(doc, keep=keep)
-            elif kind == "after_journal":
-                self.durable.journal.append(doc)
-            elif kind == "after_apply":
-                self.durable.handle_line(encode(doc))
-            else:
-                raise ValueError(f"unknown crash kind {kind!r}")
+            land_crash(self.durable, kind, doc, keep)
         self.durable.close()
         self.durable = None
         self.gateway = None

@@ -42,7 +42,7 @@ import random
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps.webserver import TIERS, WebServerModel
 from ..core.admission import PipelineAdmissionController
@@ -679,39 +679,6 @@ def _compare_gate_failures(payload: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def _compare_blocking_main(args: argparse.Namespace) -> int:
-    """``--compare-blocking``: online vs. static blocking-bound gate."""
-    payload = compare_blocking(seed=args.seed, requests=args.requests)
-    rendered = render_report(payload)
-    failures = _compare_gate_failures(payload)
-    if args.selftest:
-        replay = render_report(
-            compare_blocking(seed=args.seed, requests=args.requests)
-        )
-        if replay != rendered:
-            print("selftest FAILED: replay produced different bytes", file=sys.stderr)
-            return 1
-        if failures:
-            print(f"selftest FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        print(
-            f"selftest ok: compare-blocking seed={args.seed} "
-            f"static={payload['static']['admitted']} "
-            f"online={payload['online']['admitted']} "
-            f"extra={payload['advantage']['extra_admitted']} "
-            f"missed=0 bytes={len(rendered)}"
-        )
-    else:
-        sys.stdout.write(rendered)
-        if failures:
-            print(f"gate FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Rendering and CLI
 # ----------------------------------------------------------------------
@@ -738,129 +705,62 @@ def _gate_failures(payload: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def _chaos_crash_main(args: argparse.Namespace) -> int:
-    """``--chaos-crash``: crash/recovery durability gate (see recovery.py)."""
-    from .recovery import crash_chaos_gate_failures, run_crash_chaos
+#: ``selftest ok`` summary of each report mode, formatted from the report.
+_SUMMARIES = {
+    "scenario": "scenario={scenario} seed={seed} offered={traffic[offered]} "
+    "admitted={traffic[admitted]} missed={traffic[missed]}",
+    "compare_blocking": "compare-blocking seed={seed} static={static[admitted]} "
+    "online={online[admitted]} extra={advantage[extra_admitted]} missed=0",
+    "chaos_crash": "chaos-crash seed={seed} recoveries={recoveries[count]} "
+    "acked={admissions[acked_admitted]} lost={admissions[lost]} "
+    "duplicated={admissions[duplicated]}",
+    "chaos_fleet": "chaos-fleet seed={seed} workers={workers} "
+    "recoveries={recoveries[count]} acked={admissions[acked_admitted]} "
+    "lost={admissions[lost]} duplicated={admissions[duplicated]} "
+    "fingerprint_matches={equivalence[fingerprint_matches]}",
+    "chaos_degradation": "chaos-degradation seed={seed} "
+    "recoveries={recoveries[count]} rescales={degradation[rescales]} "
+    "sacrificed={degradation[sacrificed]} "
+    "region_violations={degradation[region_violations]} "
+    "lost={admissions[lost]} duplicated={admissions[duplicated]}",
+}
 
-    payload = run_crash_chaos(seed=args.seed, cycles=args.cycles)
+
+def _report_main(
+    args: argparse.Namespace,
+    mode: str,
+    build: Callable[[], Dict[str, Any]],
+    gate: Callable[[Dict[str, Any]], List[str]],
+) -> int:
+    """Render one report, write ``--out`` first, then replay and gate it.
+
+    With ``--selftest`` a second run must render the same bytes and the
+    gate must pass; without it the report goes to stdout and the gate
+    still decides the exit status (scenario reports are gated only under
+    ``--selftest``).  The report reaches ``--out`` either way, so a
+    failing gate leaves its evidence behind.
+    """
+    payload = build()
     rendered = render_report(payload)
-    if args.selftest:
-        replay = render_report(run_crash_chaos(seed=args.seed, cycles=args.cycles))
-        if replay != rendered:
-            print("selftest FAILED: replay produced different bytes", file=sys.stderr)
-            return 1
-        failures = crash_chaos_gate_failures(
-            payload, min_recoveries=min(20, args.cycles)
-        )
-        if failures:
-            print(f"selftest FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        admissions = payload["admissions"]
-        print(
-            f"selftest ok: chaos-crash seed={args.seed} "
-            f"recoveries={payload['recoveries']['count']} "
-            f"acked={admissions['acked_admitted']} "
-            f"lost={admissions['lost']} duplicated={admissions['duplicated']} "
-            f"bytes={len(rendered)}"
-        )
-    else:
-        failures = crash_chaos_gate_failures(
-            payload, min_recoveries=min(20, args.cycles)
-        )
-        sys.stdout.write(rendered)
-        if failures:
-            print(f"gate FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered)
-    return 0
-
-
-def _chaos_fleet_main(args: argparse.Namespace) -> int:
-    """``--chaos-fleet``: shard-fleet failover gate (see fleetchaos.py)."""
-    from .fleetchaos import fleet_chaos_gate_failures, run_fleet_chaos
-
-    payload = run_fleet_chaos(
-        seed=args.seed, cycles=args.cycles, workers=args.workers
-    )
-    rendered = render_report(payload)
-    min_recoveries = min(10, args.cycles)
-    if args.selftest:
-        replay = render_report(
-            run_fleet_chaos(seed=args.seed, cycles=args.cycles, workers=args.workers)
-        )
-        if replay != rendered:
-            print("selftest FAILED: replay produced different bytes", file=sys.stderr)
-            return 1
-        failures = fleet_chaos_gate_failures(payload, min_recoveries=min_recoveries)
-        if failures:
-            print(f"selftest FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        admissions = payload["admissions"]
-        equivalence = payload["equivalence"]
-        print(
-            f"selftest ok: chaos-fleet seed={args.seed} workers={args.workers} "
-            f"recoveries={payload['recoveries']['count']} "
-            f"acked={admissions['acked_admitted']} "
-            f"lost={admissions['lost']} duplicated={admissions['duplicated']} "
-            f"fingerprint_matches={equivalence['fingerprint_matches']} "
-            f"bytes={len(rendered)}"
-        )
-    else:
-        failures = fleet_chaos_gate_failures(payload, min_recoveries=min_recoveries)
+    if not args.selftest:
         sys.stdout.write(rendered)
+        failures = [] if mode == "scenario" else gate(payload)
         if failures:
             print(f"gate FAILED: {'; '.join(failures)}", file=sys.stderr)
             return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    return 0
-
-
-def _chaos_degradation_main(args: argparse.Namespace) -> int:
-    """``--chaos-degradation``: capacity-rescale + sacrifice gate (degchaos.py)."""
-    from .degchaos import degradation_chaos_gate_failures, run_degradation_chaos
-
-    payload = run_degradation_chaos(seed=args.seed, cycles=args.cycles)
-    rendered = render_report(payload)
-    min_recoveries = min(12, args.cycles)
-    if args.selftest:
-        replay = render_report(
-            run_degradation_chaos(seed=args.seed, cycles=args.cycles)
-        )
-        if replay != rendered:
-            print("selftest FAILED: replay produced different bytes", file=sys.stderr)
-            return 1
-        failures = degradation_chaos_gate_failures(
-            payload, min_recoveries=min_recoveries
-        )
-        if failures:
-            print(f"selftest FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        admissions = payload["admissions"]
-        degradation = payload["degradation"]
-        print(
-            f"selftest ok: chaos-degradation seed={args.seed} "
-            f"recoveries={payload['recoveries']['count']} "
-            f"rescales={degradation['rescales']} "
-            f"sacrificed={degradation['sacrificed']} "
-            f"region_violations={degradation['region_violations']} "
-            f"lost={admissions['lost']} duplicated={admissions['duplicated']} "
-            f"bytes={len(rendered)}"
-        )
-    else:
-        failures = degradation_chaos_gate_failures(
-            payload, min_recoveries=min_recoveries
-        )
-        sys.stdout.write(rendered)
-        if failures:
-            print(f"gate FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        return 0
+    if render_report(build()) != rendered:
+        print("selftest FAILED: replay produced different bytes", file=sys.stderr)
+        return 1
+    failures = gate(payload)
+    if failures:
+        print(f"selftest FAILED: {'; '.join(failures)}", file=sys.stderr)
+        return 1
+    summary = _SUMMARIES[mode].format_map(payload)
+    print(f"selftest ok: {summary} bytes={len(rendered)}")
     return 0
 
 
@@ -869,7 +769,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.serve.loadgen",
         description="Replay a seeded trace against the admission gateway.",
     )
-    parser.add_argument(
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument(
         "--scenario", choices=[s.name for s in SCENARIOS], help="load shape to replay"
     )
     parser.add_argument("--seed", type=int, default=0, help="trace seed")
@@ -894,22 +795,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="run twice, assert byte-identical reports and zero misses",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--chaos-crash",
         action="store_true",
         help="run the crash/recovery chaos harness instead of a scenario",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--chaos-fleet",
         action="store_true",
         help="run the shard-fleet failover chaos harness instead of a scenario",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--chaos-degradation",
         action="store_true",
         help="run the capacity-degradation chaos harness instead of a scenario",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--compare-blocking",
         action="store_true",
         help="compare online PCP blocking bounds against the static "
@@ -928,7 +829,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=3,
         help="fleet size for --chaos-fleet",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
     args = parser.parse_args(argv)
@@ -937,48 +838,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for scenario in SCENARIOS:
             print(f"{scenario.name:12s} {scenario.summary}")
         return 0
-    if args.chaos_crash:
-        return _chaos_crash_main(args)
-    if args.chaos_fleet:
-        return _chaos_fleet_main(args)
-    if args.chaos_degradation:
-        return _chaos_degradation_main(args)
-    if args.compare_blocking:
-        return _compare_blocking_main(args)
-    if args.scenario is None:
-        parser.error("--scenario is required (or use --list)")
-
-    payload = run_scenario(
-        args.scenario, args.seed, args.requests, args.transport, args.timeout
-    )
-    rendered = render_report(payload)
-
-    if args.selftest:
-        replay = render_report(
-            run_scenario(
+    if args.scenario is not None:
+        return _report_main(
+            args,
+            "scenario",
+            lambda: run_scenario(
                 args.scenario, args.seed, args.requests, args.transport, args.timeout
-            )
+            ),
+            _gate_failures,
         )
-        if replay != rendered:
-            print("selftest FAILED: replay produced different bytes", file=sys.stderr)
-            return 1
-        failures = _gate_failures(payload)
-        if failures:
-            print(f"selftest FAILED: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        traffic = payload["traffic"]
-        print(
-            f"selftest ok: scenario={args.scenario} seed={args.seed} "
-            f"offered={traffic['offered']} admitted={traffic['admitted']} "
-            f"missed={traffic['missed']} bytes={len(rendered)}"
+    if args.compare_blocking:
+        return _report_main(
+            args,
+            "compare_blocking",
+            lambda: compare_blocking(seed=args.seed, requests=args.requests),
+            _compare_gate_failures,
         )
-    else:
-        sys.stdout.write(rendered)
+    topology = next(
+        (t for t in ("crash", "fleet", "degradation") if getattr(args, f"chaos_{t}")),
+        None,
+    )
+    if topology is None:
+        parser.error("--scenario is required (or use --list)")
+    # Imported lazily: scenario replays, and perfbench's workloads
+    # module that imports this one, need none of the chaos code.
+    from .chaos import TOPOLOGIES, chaos_gate_failures, run_chaos
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    return 0
+    fleet = {"workers": args.workers} if topology == "fleet" else {}
+    needed = min(TOPOLOGIES[topology].min_recoveries, args.cycles)
+    return _report_main(
+        args,
+        f"chaos_{topology}",
+        lambda: run_chaos(topology, seed=args.seed, cycles=args.cycles, **fleet),
+        lambda payload: chaos_gate_failures(payload, min_recoveries=needed),
+    )
 
 
 if __name__ == "__main__":

@@ -1,0 +1,70 @@
+"""Pinned chaos reports: their bytes must not drift across commits.
+
+Every case regenerates one :func:`repro.serve.chaos.run_chaos` report
+and compares it with its committed golden file under
+``tests/data/chaos/``.  The selftests only compare two runs of the same
+commit, so a change that reorders RNG draws passes them unnoticed; these
+files do not.  A change meant to alter the op streams regenerates them
+on purpose with ``PYTHONPATH=src python tests/test_serve_chaos.py``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.serve.chaos import run_chaos
+from repro.serve.loadgen import main, render_report
+
+GOLDEN = Path(__file__).parent / "data" / "chaos"
+
+#: The three ``make serve-smoke`` chaos runs, then the shapes the crash,
+#: degradation and fleet test modules gate.
+CASES = {
+    "crash-smoke": ("crash", {"seed": 0, "cycles": 24}),
+    "fleet-smoke": ("fleet", {"seed": 0, "cycles": 12, "workers": 3}),
+    "degradation-smoke": ("degradation", {"seed": 0, "cycles": 12}),
+    "crash-seed0-cycles8": ("crash", {"seed": 0, "cycles": 8, "snapshot_every": 10}),
+    "degradation-seed5-cycles6": (
+        "degradation",
+        {"seed": 5, "cycles": 6, "ops_per_cycle": 12, "snapshot_every": 10},
+    ),
+    "fleet-seed2-cycles6-degradation": (
+        "fleet",
+        {"seed": 2, "cycles": 6, "workers": 2, "ops_per_cycle": 10, "degradation": True},
+    ),
+}
+
+
+def _render(name):
+    topology, kwargs = CASES[name]
+    return render_report(run_chaos(topology, **kwargs))
+
+
+def _golden(name):
+    return (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_bytes(name):
+    assert _render(name) == _golden(name)
+
+
+@pytest.mark.parametrize(
+    ("name", "argv"),
+    [
+        ("crash-smoke", ["--chaos-crash", "--cycles", "24"]),
+        ("fleet-smoke", ["--chaos-fleet", "--cycles", "12", "--workers", "3"]),
+        ("degradation-smoke", ["--chaos-degradation", "--cycles", "12"]),
+    ],
+)
+def test_cli_out_matches_golden_bytes(name, argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _golden(name)
+    assert capsys.readouterr().out == _golden(name)
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        (GOLDEN / f"{case}.json").write_text(_render(case), encoding="utf-8")
+        print(f"wrote {GOLDEN / case}.json")

@@ -16,10 +16,7 @@ from repro.core.admission import PipelineAdmissionController
 from repro.core.task import make_task
 from repro.faults.degradation import CapacityHysteresis
 from repro.serve.client import GatewayClient, GatewayError, InProcessTransport
-from repro.serve.degchaos import (
-    degradation_chaos_gate_failures,
-    run_degradation_chaos,
-)
+from repro.serve.chaos import chaos_gate_failures, run_chaos
 from repro.serve.degradation import (
     OBSERVATION_KINDS,
     SACRIFICE_LEDGER_LIMIT,
@@ -27,7 +24,6 @@ from repro.serve.degradation import (
     hysteresis_from_wire,
     hysteresis_to_wire,
 )
-from repro.serve.fleetchaos import fleet_chaos_gate_failures, run_fleet_chaos
 from repro.serve.gateway import AdmissionGateway
 from repro.serve.recovery import recover, registry_fingerprint
 
@@ -403,13 +399,13 @@ class TestSnapshotCarriesDegradation:
 
 class TestChaosGates:
     def test_degradation_chaos_gate_holds_and_is_byte_stable(self, tmp_path):
-        report = run_degradation_chaos(
-            seed=5, cycles=6, ops_per_cycle=12,
+        report = run_chaos(
+            "degradation", seed=5, cycles=6, ops_per_cycle=12,
             state_dir=tmp_path / "a", snapshot_every=10,
         )
-        assert degradation_chaos_gate_failures(report, min_recoveries=6) == []
-        again = run_degradation_chaos(
-            seed=5, cycles=6, ops_per_cycle=12,
+        assert chaos_gate_failures(report, min_recoveries=6) == []
+        again = run_chaos(
+            "degradation", seed=5, cycles=6, ops_per_cycle=12,
             state_dir=tmp_path / "b", snapshot_every=10,
         )
         assert json.dumps(report, sort_keys=True) == json.dumps(
@@ -417,10 +413,10 @@ class TestChaosGates:
         )
 
     def test_fleet_chaos_with_degradation_waves(self, tmp_path):
-        report = run_fleet_chaos(
-            seed=2, cycles=6, workers=2, ops_per_cycle=10,
+        report = run_chaos(
+            "fleet", seed=2, cycles=6, workers=2, ops_per_cycle=10,
             state_dir=tmp_path, degradation=True,
         )
-        assert fleet_chaos_gate_failures(report, min_recoveries=4) == []
+        assert chaos_gate_failures(report, min_recoveries=4) == []
         assert report["degradation"]["ops"] > 0
         assert report["degradation"]["rescales"] > 0

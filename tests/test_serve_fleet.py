@@ -18,11 +18,7 @@ from repro.serve.fleet import (
     ProcessFleet,
     WorkerUnavailable,
 )
-from repro.serve.fleetchaos import (
-    FLEET_CHAOS_REPORT_FORMAT,
-    fleet_chaos_gate_failures,
-    run_fleet_chaos,
-)
+from repro.serve.chaos import TOPOLOGIES, chaos_gate_failures, run_chaos
 from repro.serve.router import ShardMap
 
 POLICY = {"num_stages": 2, "alpha": 0.9}
@@ -249,26 +245,31 @@ class TestFleetSupervisor:
 
 class TestFleetChaosGate:
     def test_gate_passes_and_is_byte_stable(self, tmp_path):
-        first = run_fleet_chaos(
-            seed=0, cycles=12, workers=3, state_dir=tmp_path / "a"
+        first = run_chaos(
+            "fleet", seed=0, cycles=12, workers=3, state_dir=tmp_path / "a"
         )
-        assert first["format"] == FLEET_CHAOS_REPORT_FORMAT
-        assert fleet_chaos_gate_failures(first) == []
-        second = run_fleet_chaos(
-            seed=0, cycles=12, workers=3, state_dir=tmp_path / "b"
+        assert first["format"] == TOPOLOGIES["fleet"].report_format
+        assert chaos_gate_failures(first) == []
+        second = run_chaos(
+            "fleet", seed=0, cycles=12, workers=3, state_dir=tmp_path / "b"
         )
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
 
     def test_seed_changes_the_trace(self, tmp_path):
-        first = run_fleet_chaos(seed=0, cycles=4, workers=2, state_dir=tmp_path / "a")
-        second = run_fleet_chaos(seed=1, cycles=4, workers=2, state_dir=tmp_path / "b")
+        first = run_chaos(
+            "fleet", seed=0, cycles=4, workers=2, state_dir=tmp_path / "a"
+        )
+        second = run_chaos(
+            "fleet", seed=1, cycles=4, workers=2, state_dir=tmp_path / "b"
+        )
         assert first["admissions"] != second["admissions"]
 
     @pytest.fixture(scope="class")
     def passing_report(self, tmp_path_factory):
-        return run_fleet_chaos(
+        return run_chaos(
+            "fleet",
             seed=0,
             cycles=12,
             workers=3,
@@ -302,11 +303,11 @@ class TestFleetChaosGate:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        failures = fleet_chaos_gate_failures(report)
+        failures = chaos_gate_failures(report)
         assert any(needle in failure for failure in failures), failures
 
     def test_min_recoveries_is_enforced(self, passing_report):
-        failures = fleet_chaos_gate_failures(passing_report, min_recoveries=999)
+        failures = chaos_gate_failures(passing_report, min_recoveries=999)
         assert any("recoveries" in f for f in failures)
 
 

@@ -138,6 +138,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--scenario", "nonesuch"])
 
+    def test_failing_gate_still_writes_out(self, tmp_path, capsys):
+        # Four cycles are too few for the crash gate's coverage checks;
+        # the report is the evidence a failing CI run has to upload.
+        out_path = tmp_path / "crash.json"
+        code = main(
+            ["--chaos-crash", "--cycles", "4", "--seed", "0", "--selftest",
+             "--out", str(out_path)]
+        )
+        assert code == 1
+        assert "selftest FAILED" in capsys.readouterr().err
+        payload = json.loads(out_path.read_text())
+        assert payload["format"] == "repro.serve.crash-chaos-report/1"
+        assert payload["cycles"] == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--chaos-crash", "--chaos-fleet", "--selftest"],
+            ["--scenario", "webserver", "--compare-blocking"],
+            ["--list", "--chaos-degradation"],
+        ],
+    )
+    def test_two_modes_are_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 @pytest.mark.slow_serve
 class TestFullScale:

@@ -4,16 +4,15 @@ import json
 
 import pytest
 
+from repro.serve.chaos import chaos_gate_failures, run_chaos
 from repro.serve.gateway import AdmissionGateway
 from repro.serve.journal import Journal, encode_record, scan_journal
 from repro.serve.recovery import (
     JOURNAL_FILE,
     SNAPSHOT_FILE,
     RecoveryError,
-    crash_chaos_gate_failures,
     recover,
     registry_fingerprint,
-    run_crash_chaos,
 )
 
 POLICY = {"num_stages": 2, "alpha": 0.9}
@@ -230,10 +229,10 @@ class TestFingerprint:
 
 class TestCrashChaos:
     def test_small_run_meets_every_gate(self, tmp_path):
-        report = run_crash_chaos(
-            seed=0, cycles=8, state_dir=tmp_path, snapshot_every=10
+        report = run_chaos(
+            "crash", seed=0, cycles=8, state_dir=tmp_path, snapshot_every=10
         )
-        failures = crash_chaos_gate_failures(report, min_recoveries=8)
+        failures = chaos_gate_failures(report, min_recoveries=8)
         assert failures == []
         assert report["admissions"]["lost"] == 0
         assert report["admissions"]["duplicated"] == 0
@@ -241,26 +240,26 @@ class TestCrashChaos:
         assert report["equivalence"]["final_identical"] is True
 
     def test_report_is_byte_stable(self):
-        first = run_crash_chaos(seed=3, cycles=4)
-        second = run_crash_chaos(seed=3, cycles=4)
+        first = run_chaos("crash", seed=3, cycles=4)
+        second = run_chaos("crash", seed=3, cycles=4)
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
 
     def test_gate_flags_lost_admissions(self):
-        report = run_crash_chaos(seed=0, cycles=4)
+        report = run_chaos("crash", seed=0, cycles=4)
         report["admissions"]["lost"] = 2
-        failures = crash_chaos_gate_failures(report, min_recoveries=4)
+        failures = chaos_gate_failures(report, min_recoveries=4)
         assert any("lost" in f for f in failures)
 
     def test_gate_flags_too_few_recoveries(self):
-        report = run_crash_chaos(seed=0, cycles=4)
-        failures = crash_chaos_gate_failures(report, min_recoveries=20)
+        report = run_chaos("crash", seed=0, cycles=4)
+        failures = chaos_gate_failures(report, min_recoveries=20)
         assert any("crash/recover cycles" in f for f in failures)
 
     @pytest.mark.slow_serve
     def test_acceptance_run_twenty_cycles(self):
         """ISSUE-4 acceptance: >= 20 crash/recover cycles, zero lost or
         duplicated admissions, bitwise-identical recovered state."""
-        report = run_crash_chaos(seed=0, cycles=20)
-        assert crash_chaos_gate_failures(report, min_recoveries=20) == []
+        report = run_chaos("crash", seed=0, cycles=20)
+        assert chaos_gate_failures(report, min_recoveries=20) == []
