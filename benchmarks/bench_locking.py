@@ -1,15 +1,19 @@
 """Blocking-engine microbenchmarks for the online PCP bound.
 
-Two costs the locking subsystem adds to the admission path:
+Three costs the locking subsystem adds to the admission path:
 
 - full ``beta_j`` recompute over the admitted set, swept across
-  populations — the per-mutation cost of :class:`PCPBlockingState`
-  (every add/remove re-derives the exact vector).  The sweep-based
-  stabbing-max is ``O((S + T) log (S + T))`` per stage; the assertion
-  pins it against accidental regression to the naive
-  ``O(tasks x sections)`` double loop;
+  populations — the from-scratch sweep behind
+  :meth:`PCPBlockingState.recompute`, the oracle the auditor checks the
+  incremental vector against.  The sweep-based stabbing-max is
+  ``O((S + T) log (S + T))`` per stage; the assertion pins it against
+  accidental regression to the naive ``O(tasks x sections)`` double
+  loop;
 - ``preview`` at the largest population, the exact extra work a
-  locking controller spends deciding one arrival.
+  locking controller spends deciding one arrival;
+- add/remove churn at the largest population: what every admission
+  and expiry pays to keep ``beta_j`` current through the per-resource
+  lanes instead of a sweep.
 
 Run via ``make bench`` (folded into ``BENCH_core.json``) or, at
 reduced iterations with a regression gate against the committed
@@ -43,6 +47,9 @@ RECOMPUTE_REPEATS = (3 if SMOKE else 10)
 
 #: Arrival previews measured at the largest population.
 PREVIEW_ITERS = 50 if SMOKE else 400
+
+#: Departure + previewed-arrival pairs measured at the largest population.
+CHURN_ITERS = 200 if SMOKE else 2000
 
 
 def _populate(state, count, seed):
@@ -131,3 +138,48 @@ def test_admission_preview_at_10k(benchmark):
         f"per arrival ({1.0 / per_preview:,.1f} previews/s)"
     )
     assert len(state) == 10_000  # previews never mutate
+
+
+def test_blocking_churn_at_10k(benchmark):
+    """Incremental ``beta_j`` upkeep: remove one task, preview and add one.
+
+    Each pair keeps the population at 10k, the way an expiry and the
+    next admission do.  Asserts that a mutation stays far below one full
+    recompute — the cost every mutation paid before the lanes.
+    """
+    state = PCPBlockingState(NUM_STAGES)
+    _populate(state, 10_000, seed=13)
+    rng = random.Random(17)
+    departures = rng.sample(range(10_000), CHURN_ITERS)
+    arrivals = [
+        (
+            2_000_000 + i,
+            rng.uniform(0.25, 4.0),
+            [ResourceSpec(rng.randrange(NUM_STAGES), rng.choice(RESOURCES),
+                          rng.uniform(0.0, 0.05))]
+            if rng.random() < 0.6 else [],
+        )
+        for i in range(CHURN_ITERS)
+    ]
+
+    def run():
+        for task_id, (new_id, deadline, resources) in zip(departures, arrivals):
+            state.remove(task_id)
+            state.preview(new_id, deadline, resources)
+            state.add(new_id, deadline, resources)
+        return state.betas()
+
+    betas = run_once(benchmark, run)
+    assert betas == state.recompute()
+    assert len(state) == 10_000
+    per_pair = benchmark.stats.stats.min / CHURN_ITERS
+    recompute = _recompute_seconds(state, 1)
+    print(
+        f"\nblocking churn at 10k admitted: {per_pair * 1e6:.1f} us per "
+        f"remove + preview + add (full recompute {recompute * 1e3:.1f} ms, "
+        f"{recompute / per_pair:,.0f}x)"
+    )
+    assert per_pair * 20 < recompute, (
+        "an incremental remove + preview + add costs more than 1/20 of a "
+        "full sweep — the lanes have regressed toward recomputing"
+    )

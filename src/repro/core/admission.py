@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, KeysView, List, Optional, Sequence, Tuple
 
 from ..locking.bounds import PCPBlockingState
 from ..locking.model import ResourceSpec
@@ -318,6 +318,28 @@ class PipelineAdmissionController:
     def is_admitted(self, task_id: Hashable) -> bool:
         """Whether the task currently holds live contributions."""
         return task_id in self._admitted
+
+    def admitted_ids(self) -> KeysView[Hashable]:
+        """Live (uncopied) view of the ids holding an admission record."""
+        return self._admitted.keys()
+
+    def collides(self, task_id: Hashable, now: float) -> bool:
+        """Whether admitting ``task_id`` at ``now`` would reuse a live id.
+
+        True when the id's admission record outlives ``now`` and the id
+        still holds a charge at some stage, or, on a locking controller,
+        is still tracked by the blocking engine (which keeps it until
+        expiry); installing it again would collide with those.  An id
+        whose record expires by ``now``, or whose charges idle resets
+        released at every stage, may be admitted again.  Read-only:
+        nothing is expired here.
+        """
+        record = self._admitted.get(task_id)
+        if record is None or record.expiry <= now:
+            return False
+        if self._blocking is not None:
+            return True
+        return any(task_id in tracker for tracker in self.trackers)
 
     @property
     def admitted_count(self) -> int:

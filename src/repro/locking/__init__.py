@@ -9,7 +9,7 @@ engine the admission controller drives:
 - :mod:`repro.locking.bounds` —
   :class:`~repro.locking.bounds.PCPBlockingState`, the online
   ``B_ij`` / ``beta_j`` derivation under the priority-ceiling protocol,
-  recomputed exactly as tasks arrive and depart.
+  updated incrementally and exactly as tasks arrive and depart.
 """
 
 from .bounds import PCPBlockingState, compute_betas

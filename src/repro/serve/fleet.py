@@ -451,6 +451,13 @@ class FleetSupervisor:
         snapshot travels inside the restore request, which the new
         owner journals before applying).
 
+        The snapshot's barrier decides any admits still queued in the
+        pipeline's batch, and their answers stay with this call, not
+        with their clients.  The snapshot response carries those
+        requests' dedup entries and the restore hands them to the new
+        owner, so a client's retry there gets its original decision
+        instead of running the admit a second time.
+
         Raises:
             WorkerUnavailable: Either worker involved is down.
             FleetError: A migration step was refused by a worker.
@@ -468,6 +475,8 @@ class FleetSupervisor:
         restore_doc = self._control_request(
             "restore", pipeline=pipeline, snapshot=snap["snapshot"]
         )
+        if "dedup" in snap:
+            restore_doc["dedup"] = snap["dedup"]
         self._expect_ok(self.workers[to_shard].handle_line(encode(restore_doc)))
         return self.shard_map
 

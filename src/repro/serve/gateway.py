@@ -424,11 +424,39 @@ class AdmissionGateway:
                     sorted(decision.shed, key=repr) if decision.shed else decision.shed,
                 )
                 for token, _task, decision in decided
+                if decision is not None
             ]
         )
+        if len(lines) < len(decided):
+            lines = self._with_duplicates(decided, lines)
         for (token, _task, _decision), line in zip(decided, lines):
             self._settle(token[1], line)
             routed.append((token[0], line))
+
+    def _with_duplicates(self, decided: List[Decided], lines: List[str]) -> List[str]:
+        """Splice a ``duplicate-task`` error in for every ``None`` decision.
+
+        The registry refuses an admit that reuses a live task id without
+        deciding it (:class:`~repro.serve.registry.ServedPipeline`); the
+        answer is an error like any other refused request, so it counts
+        in ``errors`` and settles its rid.
+        """
+        answered = iter(lines)
+        merged: List[str] = []
+        for token, task, decision in decided:
+            if decision is None:
+                self.errors += 1
+                merged.append(
+                    error_response(
+                        token[1],
+                        "duplicate-task",
+                        f"task {task.task_id!r} is already admitted and still "
+                        "holds charges; use a fresh task id",
+                    )
+                )
+            else:
+                merged.append(next(answered))
+        return merged
 
     def _barrier(self, request: Dict[str, Any], routed: List[Routed]) -> ServedPipeline:
         """Look up the target pipeline and flush its pending batch.
@@ -587,15 +615,28 @@ class AdmissionGateway:
         )
 
     def _op_snapshot(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
-        pipeline = self._barrier(request, routed)
+        pipeline = self.registry.get(request["pipeline"])
+        flushed = pipeline.flush()
+        self._emit_decided(flushed, routed)
         try:
             snapshot = pipeline.snapshot()
         except ValueError as exc:
             raise ProtocolError("bad-snapshot", str(exc)) from exc
-        routed.append((origin, ok_response(request, snapshot=snapshot)))
+        # The barrier just decided these queued requests, and a
+        # migration restores the snapshot elsewhere before their clients
+        # see the answers.  Their dedup entries ride along (``dedup`` on
+        # the restore), so a retry at the new owner replays the decision
+        # instead of running the admit again.
+        rids = [token[1].get("rid") for token, _task, _decision in flushed]
+        carried = [
+            [rid, self._rid_decided[rid][0]] for rid in rids if rid in self._rid_decided
+        ]
+        extra = {"dedup": carried} if carried else {}
+        routed.append((origin, ok_response(request, snapshot=snapshot, **extra)))
 
     def _op_restore(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
         name = request["pipeline"]
+        carried = _dedup_operand(request)
         pipeline = ServedPipeline.from_snapshot(request.get("snapshot"), name=name)
         check_at = pipeline.clock if pipeline.clock is not None else 0.0
         violations = verify_restored(pipeline.controller, check_at)
@@ -605,6 +646,15 @@ class AdmissionGateway:
                 "; ".join(f"{v.kind}: {v.detail}" for v in violations),
             )
         self.registry.adopt(pipeline)
+        # Answers decided where the snapshot was taken: they join the
+        # window as if decided here (see _op_snapshot).
+        window = self._rid_decided
+        for rid, line in carried:
+            self._rid_pending.discard(rid)
+            window.pop(rid, None)
+            window[rid] = [line, _UNKNOWN_ID, None]
+        while len(window) > self.dedup_window:
+            del window[next(iter(window))]
         routed.append(
             (
                 origin,
@@ -655,6 +705,19 @@ def _stage_operand(request: Dict[str, Any]) -> int:
     value = request.get("stage")
     if not isinstance(value, int) or isinstance(value, bool):
         raise ProtocolError("bad-request", "'stage' must be an integer")
+    return value
+
+
+def _dedup_operand(request: Dict[str, Any]) -> List[List[str]]:
+    """A restore's carried ``[rid, response line]`` dedup entries."""
+    value = request.get("dedup", [])
+    if not isinstance(value, list) or not all(
+        isinstance(entry, list)
+        and len(entry) == 2
+        and all(isinstance(part, str) for part in entry)
+        for entry in value
+    ):
+        raise ProtocolError("bad-request", "'dedup' must be a list of [rid, line] pairs")
     return value
 
 

@@ -125,8 +125,15 @@ def record_crc(op: Dict[str, Any], seq: int) -> str:
 
 
 def encode_record(op: Dict[str, Any], seq: int) -> str:
-    """Render one journal record as its canonical NDJSON line."""
-    return _canonical({"crc": record_crc(op, seq), "op": op, "seq": seq})
+    """Render one journal record as its canonical NDJSON line.
+
+    The op is encoded once: sorted keys put ``crc`` first, so the
+    canonical record is the CRC field spliced in front of the very
+    ``{"op":...,"seq":...}`` text the CRC covers (:func:`record_crc`).
+    """
+    payload = _canonical({"op": op, "seq": seq})
+    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+    return '{"crc":"%08x",' % crc + payload[1:]
 
 
 def decode_record(line: str) -> Dict[str, Any]:

@@ -44,8 +44,11 @@ __all__ = [
 #: controller-level document from :mod:`repro.serve.snapshot`).
 PIPELINE_SNAPSHOT_FORMAT = "repro.serve.pipeline-snapshot/1"
 
-#: One decided admission: ``(correlation token, task, decision)``.
-Decided = Tuple[Any, PipelineTask, AdmissionDecision]
+#: One decided admission: ``(correlation token, task, decision)``.  The
+#: decision is ``None`` for an admit that reused a live task id; it was
+#: refused without touching the controller or the counters (see
+#: ``ServedPipeline._decide_reused``).
+Decided = Tuple[Any, PipelineTask, Optional[AdmissionDecision]]
 
 #: Shared "no decisions ready" result for the dominant queued-not-
 #: flushed admit path; callers only iterate it.
@@ -349,20 +352,63 @@ class ServedPipeline:
 
     def _decide_batch(self, batch: List[Tuple[Any, PipelineTask]]) -> List[Decided]:
         tasks = [task for _, task in batch]
+        # One set check per flush: a batch whose ids are distinct and
+        # have no admission record cannot reuse a live id.
+        ids = {task.task_id for task in tasks}
+        if len(ids) < len(tasks) or not self.controller.admitted_ids().isdisjoint(ids):
+            return self._decide_reused(batch)
+        return self._count(batch, self._decide(tasks))
+
+    def _decide(self, tasks: List[PipelineTask]) -> List[AdmissionDecision]:
         if self.policy.shedding:
             # Shedding inspects (and mutates) the admitted set per
             # arrival, so it stays on the sequential path; batching then
             # only defers responses, with identical decisions.
-            decisions = [
+            return [
                 self.controller.request_with_shedding(task, task.arrival_time)
                 for task in tasks
             ]
-        else:
-            # presorted: the pipeline clock already enforced
-            # non-decreasing arrivals, and validated tasks have
-            # ``deadline > 0`` so every decision precedes its expiry —
-            # both admit_many preconditions hold by construction.
-            decisions = self.controller.admit_many(tasks, presorted=True)
+        # presorted: the pipeline clock already enforced
+        # non-decreasing arrivals, and validated tasks have
+        # ``deadline > 0`` so every decision precedes its expiry —
+        # both admit_many preconditions hold by construction.
+        return self.controller.admit_many(tasks, presorted=True)
+
+    def _decide_reused(self, batch: List[Tuple[Any, PipelineTask]]) -> List[Decided]:
+        """Decide a batch that may reuse a live task id, one task at a time.
+
+        An admit whose id still holds an admission at its arrival — one
+        admitted earlier in this batch included — is refused with
+        ``None`` in place of its decision.  It changes neither the
+        controller nor the counters; only the clock has seen its
+        timestamp, as it sees every admit's on arrival.  The others are
+        decided one by one, which ``admit_many`` guarantees equals
+        deciding them as one batch.
+        """
+        controller = self.controller
+        fresh: List[Tuple[Any, PipelineTask]] = []
+        decisions: List[Optional[AdmissionDecision]] = []
+        for entry in batch:
+            task = entry[1]
+            if controller.collides(task.task_id, task.arrival_time):
+                decisions.append(None)
+            else:
+                fresh.append(entry)
+                decisions.append(self._decide([task])[0])
+        counted = iter(
+            self._count(fresh, [d for d in decisions if d is not None]) if fresh else ()
+        )
+        return [
+            (token, task, None) if decision is None else next(counted)
+            for (token, task), decision in zip(batch, decisions)
+        ]
+
+    def _count(
+        self,
+        batch: List[Tuple[Any, PipelineTask]],
+        decisions: List[AdmissionDecision],
+    ) -> List[Decided]:
+        """Count one decided batch and pair each entry with its decision."""
         counters = self.counters
         counters.batches += 1
         size = len(batch)

@@ -32,6 +32,9 @@ CASES = {
         "fleet",
         {"seed": 2, "cycles": 6, "workers": 2, "ops_per_cycle": 10, "degradation": True},
     ),
+    # The migration moves a pipeline with an admit still queued in its
+    # batch; the client's retry must reach the new owner's dedup window.
+    "fleet-seed1-cycles1-workers3": ("fleet", {"seed": 1, "cycles": 1, "workers": 3}),
 }
 
 

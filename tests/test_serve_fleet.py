@@ -202,6 +202,35 @@ class TestFleetSupervisor:
         )
         assert bounce["error"] == "wrong-shard"
 
+    def test_migrate_carries_the_dedup_entry_of_a_queued_admit(self, fleet):
+        """An admit still queued when its pipeline migrates is decided
+        by the snapshot's barrier on the old owner; the client never
+        saw that answer, so its retry lands on the new owner and must
+        get the same decision, also after the new owner restarts."""
+        fleet.dispatch(
+            {
+                "id": "reg-q",
+                "rid": "reg-q",
+                "op": "register",
+                "pipeline": "q",
+                "policy": dict(POLICY, max_batch=8),
+            }
+        )
+        assert fleet.dispatch(_admit("q", 7)) == []  # queued, unanswered
+        new_owner = (fleet.shard_map.shard_of("q") + 1) % 3
+        fleet.migrate("q", new_owner)
+        assert fleet.workers[new_owner].durable.gateway.dedup_status("r7") == "decided"
+        retry = dict(_admit("q", 7), id="a7-retry")
+        [answer] = [json.loads(line) for line in fleet.dispatch(retry)]
+        assert answer["ok"] is True and answer["admitted"] is True
+        assert answer["id"] == "a7-retry"
+        fleet.workers[new_owner].kill()
+        fleet.restart(new_owner)
+        [again] = [json.loads(line) for line in fleet.dispatch(retry)]
+        assert again == answer
+        stats = json.loads(fleet.dispatch({"id": "s", "op": "stats", "pipeline": "q"})[0])
+        assert stats["stats"]["q"]["counters"]["admitted"] == 1
+
     def test_migrate_to_current_owner_is_refused(self, fleet):
         with pytest.raises(FleetError):
             fleet.migrate("api", fleet.shard_map.shard_of("api"))

@@ -1,8 +1,10 @@
 """Write-ahead journal: record codec, tail repair, and compaction."""
 
 import json
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve.gateway import AdmissionGateway
 from repro.serve.journal import (
@@ -68,6 +70,58 @@ class TestRecordCodec:
 
     def test_every_mutating_op_is_journaled(self):
         assert JOURNALED_OPS == frozenset(OPS) - {"health"}
+
+
+def _two_pass_record(op, seq):
+    """The original encoder: canonicalize ``{op, seq}`` for the CRC, then
+    the whole ``{crc, op, seq}`` record again."""
+    canonical = lambda doc: json.dumps(  # noqa: E731
+        doc, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    crc = "%08x" % (zlib.crc32(canonical({"op": op, "seq": seq}).encode("utf-8")) & 0xFFFFFFFF)
+    return canonical({"crc": crc, "op": op, "seq": seq})
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e16, 5e-324, -0.0, 1e-7, 2.0**53, 1.7976931348623157e308]),
+    st.text(),
+    st.sampled_from(["é", "日本", "\u2028", "😀", "\x00", '"\\']),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestRecordEncoderOracle:
+    """``encode_record`` splices the CRC into a single encoding; the
+    two-pass encoder it replaced stays here as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        op=st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=5),
+        seq=st.integers(min_value=1, max_value=2**63),
+    )
+    def test_matches_two_pass_encoder(self, op, seq):
+        line = encode_record(op, seq)
+        assert line == _two_pass_record(op, seq)
+        assert decode_record(line)["crc"] == record_crc(op, seq)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1e16, 5e-324, -0.0, "non-ascii é 日本 😀", {"nested": {"b": [1, {"a": -0.0}]}}],
+    )
+    def test_named_edge_values(self, value):
+        op = {"id": 7, "op": "admit", "value": value}
+        assert encode_record(op, 12) == _two_pass_record(op, 12)
 
 
 class TestScanJournal:
