@@ -139,10 +139,9 @@ def test_gateway_batch_size_sweep(benchmark):
     The same NDJSON payload — register plus ``TRACE_LEN`` admits —
     fed through ``NdjsonFramer`` in 64 KiB chunks and
     ``handle_frames``, once per ``max_batch`` in ``BATCH_SWEEP``.
-    Batch 1 decides every admit scalar (the pre-vectorization
-    behavior expressed through the current code); larger batches
-    amortize the region evaluation through ``admit_many`` and the
-    batched response encoder.  Prints the ops/s curve so regressions
+    Batch 1 runs the admission lane one row per flush; larger
+    batches amortize its hoisted reads and the batched response
+    encoder over the whole flush.  Prints the ops/s curve so regressions
     in *scaling* (not just the batch-32 point the smoke gate pins)
     stay visible in ``BENCH_serve.json`` runs.
     """

@@ -36,7 +36,7 @@ from typing import Dict, Hashable, KeysView, List, Optional, Sequence, Tuple
 from ..locking.bounds import PCPBlockingState
 from ..locking.model import ResourceSpec
 from .bounds import region_budget, stage_delay_factor
-from .numeric import EPS, approx_eq, approx_ge, approx_le
+from .numeric import EPS, approx_ge, approx_le
 from .synthetic import StageUtilizationTracker
 from .task import PipelineTask
 
@@ -277,16 +277,6 @@ class PipelineAdmissionController:
         # tie-breaks are deterministic across crash recovery.
         self._admission_seq = 0
         self.trackers = [StageUtilizationTracker(r) for r in reserved]
-        # Monotonic epoch covering everything _contributions /
-        # _candidate_budget read besides the task itself: the blocking
-        # state and the capacity vector.  would_admit caches its derived
-        # (contributions, previewed budget) pair against this epoch so a
-        # probe immediately followed by request() for the same task
-        # object pays the derivation once, not twice.
-        self._derivation_epoch = 0
-        self._probe: Optional[
-            Tuple[PipelineTask, int, Tuple[float, ...], Optional[float]]
-        ] = None
         self._admitted: Dict[Hashable, _Admitted] = {}
         # Min-heap of (expiry, task_id) so expire() is amortized
         # O(log n) per admitted task instead of a full scan — the
@@ -536,7 +526,6 @@ class PipelineAdmissionController:
         if not math.isfinite(capacity) or not (0.0 <= capacity <= 1.0):
             raise ValueError(f"capacity must be in [0, 1], got {capacity}")
         self._capacities[stage] = capacity
-        self._derivation_epoch += 1
         # Prospective-only changes break the charges == f(demand,
         # capacities) identity for the already-admitted set, so the
         # capacity-drift invariant stands down until the next rescale.
@@ -610,7 +599,6 @@ class PipelineAdmissionController:
         if not math.isfinite(capacity) or not (0.0 <= capacity <= 1.0):
             raise ValueError(f"capacity must be in [0, 1], got {capacity}")
         self._capacities[stage] = capacity
-        self._derivation_epoch += 1
         self._charges_follow_capacity = True
         for task_id, record in self._admitted.items():
             if record.demand is None:
@@ -657,7 +645,7 @@ class PipelineAdmissionController:
         stage utilization strictly inside saturation and the summed
         delay factors within the (locking-aware) budget.  This is the
         post-repair feasibility check — fresh admissions are tested
-        incrementally by :meth:`_fits`, but a capacity rescale moves
+        incrementally by the admission lane, but a capacity rescale moves
         already-charged utilization, which only this whole-set test
         catches.
         """
@@ -723,22 +711,19 @@ class PipelineAdmissionController:
     # ------------------------------------------------------------------
 
     def would_admit(self, task: PipelineTask, now: float) -> bool:
-        """Evaluate the O(N) test without committing the task.
-
-        The derived (contributions, previewed-budget) pair is cached on
-        the controller keyed by the task object and the derivation
-        epoch, so a probe immediately followed by :meth:`request` for
-        the same task pays the (locking-path) blocking preview and
-        budget derivation once, not twice.
-        """
+        """Evaluate the O(N) test without committing the task."""
         self.expire(now)
-        contributions, budget = self._derive(task)
+        contributions = self._contributions(task)
+        budget = self._candidate_budget(task)
         return budget is not None and self._fits(contributions, budget)
 
     def request(self, task: PipelineTask, now: float) -> AdmissionDecision:
         """Run the admission test and commit the task when it passes.
 
-        On a locking controller the test runs against the budget the
+        The one-row call of the admission lane (:meth:`_admit_many_fast`),
+        so a sequence of ``request`` calls and one :meth:`admit_many`
+        over the same arrivals decide and commit identically.  On a
+        locking controller the test runs against the budget the
         controller *would* hold after admitting the task — including
         the blocking its own critical sections add — so an arrival that
         would push ``sum_j beta_j`` out of the region is refused even
@@ -753,13 +738,12 @@ class PipelineAdmissionController:
             An :class:`AdmissionDecision`; when admitted, the task's
             contributions are installed on every stage until
             ``task.absolute_deadline``.
+
+        Raises:
+            ValueError: If the task's id still holds an admission at
+                ``now`` (:meth:`collides`); nothing is changed.
         """
-        self.expire(now)
-        contributions, budget = self._derive(task)
-        if budget is None or not self._fits(contributions, budget):
-            return AdmissionDecision(admitted=False, region_value=self.region_value())
-        self._install(task, contributions)
-        return AdmissionDecision(admitted=True, region_value=self.region_value())
+        return self._admit_many_fast([task], [now])[0]
 
     def admit_many(
         self,
@@ -769,17 +753,21 @@ class PipelineAdmissionController:
     ) -> List[AdmissionDecision]:
         """Batched admission: decide a time-ordered arrival sequence in one pass.
 
-        The batched fast path amortizes the per-request bookkeeping of
-        :meth:`request` — expiry processing is skipped for arrivals that
-        share a timestamp (bursts), and the region value returned with
-        each decision is served from a per-stage cache of
-        ``f(min(U_j, 1))`` terms instead of being recomputed ``O(N)``
-        per rejection.
+        Runs the admission lane (:meth:`_admit_many_fast`) over the whole
+        sequence, on every controller, locking or not.  Expiry sweeps
+        run only once the earliest pending expiry has passed, and the
+        region value returned with each decision is served from a
+        per-stage cache of ``f(min(U_j, 1))`` terms instead of being
+        recomputed ``O(N)`` per rejection.
 
-        Correctness guarantee: the decisions (and the final tracker
-        state) are *decision-for-decision identical* to calling
-        :meth:`request` once per task at the same timestamps.  The test
-        loop performs the exact same float operations in the exact same
+        Correctness guarantee: the decisions, the reported region
+        values and the final controller state are *bitwise identical*
+        to the per-task reference loop that
+        ``tests/test_vectorized_admission.py`` keeps as the lane's
+        oracle — per task: :meth:`expire`, :meth:`_contributions`,
+        :meth:`_candidate_budget`, :meth:`_fits`, install — at any batch
+        split, :meth:`request` being the split into single rows.  The
+        lane performs the exact same float operations in the exact same
         order as :meth:`_fits`, and cache entries are always recomputed
         from ``tracker.value`` with the same expression
         :meth:`region_value` uses — so not even the last ulp differs.
@@ -787,11 +775,11 @@ class PipelineAdmissionController:
         The guarantee requires every task's expiry to lie strictly
         after its decision timestamp: the equal-timestamp expiry skip
         would otherwise keep an already-lapsed admission charged for
-        the rest of its burst, where sequential :meth:`request` calls
-        would have expired it.  Such a task is dead on arrival anyway
-        (its deadline passed before it was decided), so the batch path
-        rejects the input outright.  Default timestamps always satisfy
-        this (``absolute_deadline > arrival_time`` for any valid task).
+        the rest of its burst, where the oracle would have expired it.
+        Such a task is dead on arrival anyway (its deadline passed
+        before it was decided), so the batch path rejects the input
+        outright.  Default timestamps always satisfy this
+        (``absolute_deadline > arrival_time`` for any valid task).
 
         Args:
             tasks: Arriving tasks, ordered by decision time.
@@ -813,7 +801,9 @@ class PipelineAdmissionController:
             ValueError: If ``times`` has the wrong length, the
                 timestamps are not non-decreasing, or a task would be
                 decided at or after its absolute deadline (the latter
-                two only checked when ``presorted`` is false).
+                two only checked when ``presorted`` is false), or a
+                task reuses the id of a live admission (raised before
+                that task changes anything).
         """
         task_list = list(tasks)
         if times is None:
@@ -843,83 +833,32 @@ class PipelineAdmissionController:
                         "sequential equivalence requires every decision to "
                         "precede the task's expiry"
                     )
-        # A locking controller's budget moves with every install and
-        # expiry, so each candidate must be tested against its own
-        # previewed budget — the per-task reference loop.  Without
-        # locking the vectorized loop hoists every batch-invariant read
-        # (budget, tracker values, region cache) out of the iteration.
-        if self._blocking is not None:
-            return self._admit_many_scalar(task_list, time_list)
         return self._admit_many_fast(task_list, time_list)
-
-    def _admit_many_scalar(
-        self, task_list: List[PipelineTask], time_list: List[float]
-    ) -> List[AdmissionDecision]:
-        """Reference per-task decision loop (also the locking path).
-
-        This is the loop the vectorized fast path must match bitwise;
-        ``tests/test_vectorized_admission.py`` holds the two to
-        decision-for-decision and fingerprint equality.
-        """
-        trackers = self.trackers
-        # With locking off the budget is a constant and is hoisted out
-        # of the loop; a locking controller's budget moves with every
-        # install/expiry, and each candidate is tested against its own
-        # previewed budget — exactly as sequential request() would.
-        locking = self._blocking is not None
-        budget = self.budget
-        # f(min(U_j, 1)) per stage; kept exactly equal to the terms
-        # region_value() would compute, so sum(cache) == region_value().
-        cache = [stage_delay_factor(min(t.value, 1.0)) for t in trackers]
-        decisions: List[AdmissionDecision] = []
-        last_now: Optional[float] = None
-        for task, now in zip(task_list, time_list):
-            if last_now is None or now > last_now:
-                self._expire_cached(now, cache)
-                last_now = now
-            contributions = self._contributions(task)
-            row_budget = self._candidate_budget(task) if locking else budget
-            # Inline of _fits, same float-op order (equivalence depends on it).
-            value = 0.0
-            fits = row_budget is not None
-            if fits:
-                for tracker, extra in zip(trackers, contributions):
-                    u = tracker.value + extra
-                    if approx_ge(u, 1.0):
-                        fits = False
-                        break
-                    value += stage_delay_factor(u)
-                    if not approx_le(value, row_budget):
-                        fits = False
-                        break
-            if fits:
-                self._install(task, contributions)
-                for j, tracker in enumerate(trackers):
-                    cache[j] = stage_delay_factor(min(tracker.value, 1.0))
-            decisions.append(
-                AdmissionDecision(admitted=fits, region_value=sum(cache))
-            )
-        return decisions
 
     def _admit_many_fast(
         self, task_list: List[PipelineTask], time_list: List[float]
     ) -> List[AdmissionDecision]:
-        """Vectorized batch admission loop (non-locking controllers).
+        """The admission lane: the one loop that decides and commits.
 
-        Same decisions, same final state, same floats as
-        :meth:`_admit_many_scalar` — DESIGN.md §16 maps each hoist to
-        the same-ulp argument.  Per-task work is reduced to the
-        irreducible float expressions:
+        :meth:`admit_many`, :meth:`request` and every re-test of
+        :meth:`request_with_shedding` run through it.  Same decisions,
+        same final state, same floats as the per-task reference loop in
+        ``tests/test_vectorized_admission.py`` — DESIGN.md §16.1 maps
+        each hoist to the same-ulp argument.  Per-task work is reduced
+        to the irreducible float expressions:
 
-        - the budget is a loop constant (no locking preview),
+        - without locking the budget is a loop constant; a locking row
+          previews its own budget (:meth:`_candidate_budget`, where
+          ``None`` refuses the row) and commits through
+          :meth:`_locking_track`,
         - ``values`` mirrors each ``tracker.value`` float and is
-          refreshed only when a tracker actually changes (install or
-          expiry), so the region test reads a list instead of
-          properties,
+          refreshed only when a tracker actually changes (install, or
+          an :meth:`expire` that released utilization), so the region
+          test reads a list instead of properties,
         - the contribution column is built into a preallocated row
           reused across tasks, with the all-nominal capacity vector
           pre-resolved to the plain ``c / D_i`` form,
-        - expiry sweeps are skipped entirely while the controller
+        - :meth:`expire` is skipped entirely while the controller
           expiry heap's head (a lower bound on every live tracker
           expiry, since tracker entries are pushed alongside a
           controller entry with the same expiry) lies in the future,
@@ -935,6 +874,7 @@ class PipelineAdmissionController:
         """
         trackers = self.trackers
         num_stages = self.num_stages
+        blocking = self._blocking
         budget = self.budget
         demand_model = self.demand_model
         exact_demand = type(demand_model) is ExactDemand
@@ -960,10 +900,8 @@ class PipelineAdmissionController:
         decision_cls = AdmissionDecision
         new_decision = decision_cls.__new__
         set_dict = object.__setattr__
-        # _install, unrolled for the non-locking fast path: prebound
-        # per-stage tracker adds, a locally carried admission sequence,
-        # and direct record construction (this path never runs with a
-        # blocking engine, so the _locking_track no-op call drops out).
+        # Install, unrolled: prebound per-stage tracker adds, a locally
+        # carried admission sequence, and direct record construction.
         admitted_map = self._admitted
         tracker_adds = [t.add for t in trackers]
         record_cls = _Admitted
@@ -977,7 +915,12 @@ class PipelineAdmissionController:
         for task, now in zip(task_list, time_list):
             if last_now is None or now > last_now:
                 if next_expiry <= now:
-                    if self._expire_batch(now, cache, values):
+                    # A release of 0.0 cannot have moved the exact
+                    # accumulator, so only a real release re-derives
+                    # the mirrored values and cached region terms.
+                    if self.expire(now):
+                        values = [t.value for t in trackers]
+                        cache = [_sdf(min(v, 1.0)) for v in values]
                         region_total = sum(cache)
                         reject = None
                     next_expiry = heap[0][0] if heap else math.inf
@@ -991,18 +934,38 @@ class PipelineAdmissionController:
                     f"{num_stages}"
                 )
             deadline = task.deadline
-            # Inline of _fits at the hoisted budget: same expressions,
-            # same order (equivalence depends on it).  The nominal
-            # branch folds _contributions into the test loop — each
-            # stage's ``c / deadline`` is computed where it is consumed,
-            # so a task rejected at stage j never pays the remaining
-            # divisions and no row is materialized; the install path
-            # recomputes the same divisions (float division is
-            # deterministic, so the installed tuple holds the exact
-            # bits the row would have carried).
+            if not nominal:
+                # Degraded capacities: _contributions stage by stage
+                # into the preallocated row.
+                for j, c in enumerate(demand):
+                    capacity = capacities[j]
+                    if capacity == 1.0:
+                        row[j] = c / deadline
+                    elif capacity == 0.0:
+                        row[j] = math.inf
+                    else:
+                        row[j] = c / (capacity * deadline)
+            if blocking is None:
+                fits = True
+            else:
+                # The budget the controller would hold after admitting
+                # this row; None: the previewed blocking alone empties
+                # the region.
+                budget = self._candidate_budget(task)
+                fits = budget is not None
+                if fits:
+                    abs_budget = budget if budget >= 0.0 else -budget  # repro: noqa[FLT002] — sign probe for the row's |budget|, not a boundary decision
+            # Inline of _fits: same expressions, same order (equivalence
+            # depends on it).  The nominal branch folds _contributions
+            # into the test loop — each stage's ``c / deadline`` is
+            # computed where it is consumed, so a task rejected at stage
+            # j never pays the remaining divisions and no row is
+            # materialized; the install path recomputes the same
+            # divisions (float division is deterministic, so the
+            # installed tuple holds the exact bits the row would have
+            # carried).
             value = 0.0
-            fits = True
-            if nominal:
+            if fits and nominal:
                 for v, c in zip(values, demand):
                     u = v + c / deadline
                     gap = 1.0 - u
@@ -1027,17 +990,7 @@ class PipelineAdmissionController:
                             break
                 if fits:
                     contributions = tuple(c / deadline for c in demand)
-            else:
-                # Degraded capacities: _contributions stage by stage
-                # into the preallocated row, then the identical test.
-                for j, c in enumerate(demand):
-                    capacity = capacities[j]
-                    if capacity == 1.0:
-                        row[j] = c / deadline
-                    elif capacity == 0.0:
-                        row[j] = math.inf
-                    else:
-                        row[j] = c / (capacity * deadline)
+            elif fits:
                 for v, extra in zip(values, row):
                     u = v + extra
                     gap = 1.0 - u
@@ -1055,13 +1008,18 @@ class PipelineAdmissionController:
                 if fits:
                     contributions = tuple(row)
             if fits:
-                # Install: per-stage tracker adds (the duplicate-id
-                # guard lives in tracker.add), then the admitted record
-                # built directly — same state _install produces, with
-                # the sequence number written back immediately so an
-                # add() raise mid-batch leaves it exact.
-                expiry = task.arrival_time + deadline
+                # Install.  A reused live id raises before any stage
+                # changes; then per-stage tracker adds, the admitted
+                # record built directly with the sequence number
+                # written back immediately, the blocking commit (which
+                # reuses the row's preview), and the expiry heap.
                 task_id = task.task_id
+                if task_id in admitted_map and self.collides(task_id, now):
+                    raise ValueError(
+                        f"task {task_id!r} is already admitted and still holds "
+                        "charges"
+                    )
+                expiry = task.arrival_time + deadline
                 for add, contribution in zip(tracker_adds, contributions):
                     add(task_id, contribution, expiry)
                 self._admission_seq = seq = self._admission_seq + 1
@@ -1076,6 +1034,8 @@ class PipelineAdmissionController:
                     "seq": seq,
                 }
                 admitted_map[task_id] = record
+                if blocking is not None:
+                    self._locking_track(task_id, deadline, task.resources)
                 push_expiry(heap, (expiry, task_id))
                 if expiry < next_expiry:
                     next_expiry = expiry
@@ -1105,57 +1065,6 @@ class PipelineAdmissionController:
                 append(reject)
         return decisions
 
-    def _expire_batch(
-        self, now: float, cache: List[float], values: List[float]
-    ) -> bool:
-        """:meth:`_expire_cached`, also refreshing the hoisted value row.
-
-        Returns ``True`` when any cached region term changed, so the
-        batch loop re-derives its cached region sum.
-        """
-        changed = False
-        for j, tracker in enumerate(self.trackers):
-            # Same released-amount guard as _expire_cached: a release
-            # of 0.0 cannot have moved the exact accumulator, so both
-            # the cached term and the mirrored value stay valid.
-            if tracker.expire_until(now):
-                v = tracker.value
-                values[j] = v
-                cache[j] = stage_delay_factor(min(v, 1.0))
-                changed = True
-        heap = self._expiry_heap
-        admitted = self._admitted
-        pop = heapq.heappop
-        # The batch path never runs with a blocking engine, so the
-        # per-expiry _locking_discard no-op call is skipped wholesale.
-        locking = self._blocking is not None
-        while heap and heap[0][0] <= now:
-            _, task_id = pop(heap)
-            record = admitted.get(task_id)
-            if record is not None and record.expiry <= now:
-                del admitted[task_id]
-                if locking:
-                    self._locking_discard(task_id)
-        return changed
-
-    def _expire_cached(self, now: float, cache: List[float]) -> None:
-        """:meth:`expire`, refreshing region-cache entries of touched stages."""
-        for j, tracker in enumerate(self.trackers):
-            # A released amount of 0.0 leaves the cached term valid: the
-            # exact accumulator guarantees expiring zero-cost
-            # contributions cannot move the running sum (an exact
-            # subtraction of zero), so only stages that actually
-            # released utilization need their f(min(U_j, 1)) term
-            # re-derived.
-            if tracker.expire_until(now):
-                cache[j] = stage_delay_factor(min(tracker.value, 1.0))
-        while self._expiry_heap and self._expiry_heap[0][0] <= now:
-            _, task_id = heapq.heappop(self._expiry_heap)
-            record = self._admitted.get(task_id)
-            if record is not None and record.expiry <= now:
-                del self._admitted[task_id]
-                self._locking_discard(task_id)
-
     def request_with_shedding(
         self, task: PipelineTask, now: float
     ) -> AdmissionDecision:
@@ -1166,18 +1075,18 @@ class PipelineAdmissionController:
         lower* importance are shed in increasing order of importance
         (FIFO within a class) until the arrival fits or no candidates
         remain.  Shedding is rolled back if the arrival still cannot be
-        admitted.
+        admitted.  The first test and each re-test after an eviction
+        run through the admission lane, which re-previews a locking
+        controller's budget every time.
 
         Returns:
             The decision; ``shed`` lists the removed task ids (callers
             must abort those tasks in the execution substrate).
         """
-        self.expire(now)
-        contributions, budget = self._derive(task)
-        if budget is not None and self._fits(contributions, budget):
-            self._install(task, contributions)
-            return AdmissionDecision(admitted=True, region_value=self.region_value())
-
+        lane = self._admit_many_fast
+        decision = lane([task], [now])[0]
+        if decision.admitted:
+            return decision
         candidates = sorted(
             (
                 (record.importance, task_id)
@@ -1199,13 +1108,10 @@ class PipelineAdmissionController:
             removed = self._evict(victim_id)
             shed.append(victim_id)
             rollback.append((victim_id, record, removed))
-            # Shedding a victim relaxes ceilings and drops sections, so
-            # the previewed budget must be re-derived after each evict.
-            budget = self._candidate_budget(task)
-            if budget is not None and self._fits(contributions, budget):
-                self._install(task, contributions)
+            decision = lane([task], [now])[0]
+            if decision.admitted:
                 return AdmissionDecision(
-                    admitted=True, region_value=self.region_value(), shed=tuple(shed)
+                    admitted=True, region_value=decision.region_value, shed=tuple(shed)
                 )
         # Not admissible even after shedding everything less important:
         # roll the victims back (exactly the amounts removed) and reject.
@@ -1217,21 +1123,35 @@ class PipelineAdmissionController:
     # Lifecycle notifications
     # ------------------------------------------------------------------
 
-    def expire(self, now: float) -> None:
+    def expire(self, now: float) -> bool:
         """Lapse contributions of tasks whose deadlines passed.
 
         On a locking controller an expired job also stops blocking:
         its critical sections leave the ``B_ij`` bound and the budget
         grows back accordingly.
+
+        Returns:
+            Whether any stage released utilization.  Lapsing only
+            zero-cost contributions cannot move a stage's exact sum, so
+            the admission lane re-reads its mirrored tracker values
+            only when this is true.
         """
+        released = False
         for tracker in self.trackers:
-            tracker.expire_until(now)
-        while self._expiry_heap and self._expiry_heap[0][0] <= now:
-            _, task_id = heapq.heappop(self._expiry_heap)
-            record = self._admitted.get(task_id)
+            if tracker.expire_until(now):
+                released = True
+        heap = self._expiry_heap
+        admitted = self._admitted
+        pop = heapq.heappop
+        blocking = self._blocking
+        while heap and heap[0][0] <= now:
+            _, task_id = pop(heap)
+            record = admitted.get(task_id)
             if record is not None and record.expiry <= now:
-                del self._admitted[task_id]
-                self._locking_discard(task_id)
+                del admitted[task_id]
+                if blocking is not None:
+                    self._locking_discard(task_id)
+        return released
 
     def notify_subtask_departure(self, task_id: Hashable, stage: int) -> None:
         """Record that the task finished executing at ``stage``.
@@ -1361,28 +1281,6 @@ class PipelineAdmissionController:
             return None
         return region_budget(self.alpha, betas)
 
-    def _derive(self, task: PipelineTask) -> Tuple[Tuple[float, ...], Optional[float]]:
-        """Derive (contributions, candidate budget), cached per probe.
-
-        The cache is keyed by the task *object* and the derivation
-        epoch (bumped by every blocking-state or capacity mutation), so
-        a ``would_admit`` probe followed by ``request`` for the same
-        task reuses the derivation instead of re-running the blocking
-        preview.  Shipped demand models are pure functions of the task,
-        which the reuse relies on.
-        """
-        probe = self._probe
-        if (
-            probe is not None
-            and probe[0] is task
-            and probe[1] == self._derivation_epoch
-        ):
-            return probe[2], probe[3]
-        contributions = self._contributions(task)
-        budget = self._candidate_budget(task)
-        self._probe = (task, self._derivation_epoch, contributions, budget)
-        return contributions, budget
-
     def _locking_track(
         self,
         task_id: Hashable,
@@ -1394,7 +1292,6 @@ class PipelineAdmissionController:
             return
         self.betas = self._blocking.add(task_id, deadline, resources)
         self.budget = region_budget(self.alpha, self.betas)
-        self._derivation_epoch += 1
 
     def _locking_discard(self, task_id: Hashable) -> None:
         """Drop a task from the blocking engine; betas/budget follow.
@@ -1406,13 +1303,13 @@ class PipelineAdmissionController:
             return
         self.betas = self._blocking.remove(task_id)
         self.budget = region_budget(self.alpha, self.betas)
-        self._derivation_epoch += 1
 
-    def _fits(
-        self, contributions: Tuple[float, ...], budget: Optional[float] = None
-    ) -> bool:
-        if budget is None:
-            budget = self.budget
+    def _fits(self, contributions: Tuple[float, ...], budget: float) -> bool:
+        """The region test for a candidate's contributions at ``budget``.
+
+        The scalar form the admission lane inlines; :meth:`would_admit`
+        and the lane's test oracle call it directly.
+        """
         value = 0.0
         for tracker, extra in zip(self.trackers, contributions):
             u = tracker.value + extra
@@ -1422,31 +1319,6 @@ class PipelineAdmissionController:
             if not approx_le(value, budget):
                 return False
         return True
-
-    def _install(
-        self,
-        task: PipelineTask,
-        contributions: Tuple[float, ...],
-        demand: Optional[Sequence[float]] = None,
-    ) -> None:
-        expiry = task.absolute_deadline
-        for tracker, contribution in zip(self.trackers, contributions):
-            tracker.add(task.task_id, contribution, expiry)
-        self._admission_seq += 1
-        self._admitted[task.task_id] = _Admitted(
-            contributions=contributions,
-            expiry=expiry,
-            importance=task.importance,
-            deadline=task.deadline,
-            resources=task.resources,
-            # Callers that already derived the demand pass it through;
-            # shipped demand models are pure, so the value is identical
-            # to re-deriving it here.
-            demand=tuple(self.demand_model.demand(task) if demand is None else demand),
-            seq=self._admission_seq,
-        )
-        self._locking_track(task.task_id, task.deadline, task.resources)
-        heapq.heappush(self._expiry_heap, (expiry, task.task_id))
 
     def _evict(self, task_id: Hashable) -> Tuple[float, ...]:
         """Remove a task everywhere; returns what was actually removed.

@@ -10,11 +10,13 @@ from repro.core.admission import (
     MeanDemand,
     PipelineAdmissionController,
 )
+from repro.core.audit import ControllerAuditor
 from repro.core.bounds import (
     UNIPROCESSOR_APERIODIC_BOUND,
     pipeline_region_value,
 )
 from repro.core.task import make_task
+from repro.locking import ResourceSpec
 
 
 def controller(num_stages=2, **kwargs):
@@ -426,6 +428,52 @@ class TestSheddingPartialLapse:
         # No resurrected utilization: another idle instant at stage 0
         # has nothing to release.
         assert c.notify_stage_idle(0) == 0.0
+
+
+class TestReusedLiveId:
+    """Re-admitting an id that still holds an admission raises and
+    changes nothing — through request() and admit_many alike."""
+
+    ENTRY_POINTS = [
+        lambda c, task: c.request(task, task.arrival_time),
+        lambda c, task: c.admit_many([task]),
+    ]
+
+    @pytest.mark.parametrize("admit", ENTRY_POINTS, ids=["request", "admit_many"])
+    def test_partially_released_id_is_not_half_installed(self, admit):
+        c = controller(2)
+        assert c.request(make_task(0.0, 10.0, [0.5, 0.5], task_id=7), 0.0).admitted
+        c.notify_subtask_departure(7, 0)
+        c.notify_stage_idle(0)
+        before = (c.utilizations(), c.iter_admitted(), c.admission_seq)
+        assert before[0] == (0.0, 0.05)
+        with pytest.raises(ValueError, match="already admitted"):
+            admit(c, make_task(1.0, 10.0, [0.5, 0.5], task_id=7))
+        assert (c.utilizations(), c.iter_admitted(), c.admission_seq) == before
+        # Nothing orphaned: once the record expires, stage 0 holds nothing.
+        assert ControllerAuditor(c).audit(10.5) == []
+        assert c.utilizations() == (0.0, 0.0)
+
+    @pytest.mark.parametrize("admit", ENTRY_POINTS, ids=["request", "admit_many"])
+    def test_locking_id_released_everywhere_is_not_half_installed(self, admit):
+        c = controller(2, locking=True)
+        res = [ResourceSpec(0, "r", 0.01)]
+        task = make_task(0.0, 10.0, [0.5, 0.5], task_id=7, resources=res)
+        assert c.request(task, 0.0).admitted
+        for stage in range(2):
+            c.notify_subtask_departure(7, stage)
+            c.notify_stage_idle(stage)
+        before = (c.utilizations(), c.iter_admitted(), c.admission_seq, c.betas)
+        # The blocking engine still tracks the id until its expiry.
+        with pytest.raises(ValueError, match="already admitted"):
+            admit(c, make_task(1.0, 20.0, [0.5, 0.5], task_id=7, resources=res))
+        assert (c.utilizations(), c.iter_admitted(), c.admission_seq, c.betas) == before
+        assert c.admitted_expiry(7) == 10.0
+        # The original expiry still lapses the record and its blocking.
+        assert ControllerAuditor(c).audit(10.5) == []
+        assert c.admitted_count == 0
+        assert c.utilizations() == (0.0, 0.0)
+        assert c.collides(7, 10.5) is False
 
 
 class TestStageCapacity:

@@ -296,6 +296,80 @@ class TestLockingAdmission:
         assert (controller.betas, controller.budget) == before
 
 
+def _shedding_setup():
+    """A locking controller holding a sheddable blocker and a keeper.
+
+    ``blocker`` (importance 0, D 10) holds ``r`` for 0.6; ``keeper``
+    (importance 9, D 20) holds it for 0.05.  An urgent arrival on ``r``
+    (D 1) would be blocked 0.6 by the blocker, which leaves a budget of
+    0.4, under its 0.5525 region term; with the blocker shed only the
+    keeper's 0.05 remains.
+    """
+    controller = PipelineAdmissionController(1, alpha=1.0, locking=True)
+    blocker = make_task(
+        0.0, 10.0, [1.0], importance=0, task_id="blocker",
+        resources=[ResourceSpec(0, "r", 0.6)],
+    )
+    keeper = make_task(
+        0.0, 20.0, [0.2], importance=9, task_id="keeper",
+        resources=[ResourceSpec(0, "r", 0.05)],
+    )
+    assert controller.request(blocker, now=0.0).admitted
+    assert controller.request(keeper, now=0.0).admitted
+    return controller, blocker, keeper
+
+
+class TestLockingShedding:
+    def test_arrival_fits_once_its_blocker_is_shed(self):
+        controller, blocker, keeper = _shedding_setup()
+        urgent = make_task(
+            0.0, 1.0, [0.3], importance=5, task_id="urgent",
+            resources=[ResourceSpec(0, "r", 0.0)],
+        )
+        assert not controller.would_admit(urgent, now=0.0)
+        decision = controller.request_with_shedding(urgent, now=0.0)
+        assert decision.admitted
+        assert decision.shed == ("blocker",)
+        assert not controller.is_admitted("blocker")
+        # Only the keeper's section still blocks the urgent task.
+        assert controller.betas == (0.05,)
+        assert controller.budget == region_budget(1.0, (0.05,))
+        # Bitwise the state of a controller that never saw the blocker.
+        fresh = PipelineAdmissionController(1, alpha=1.0, locking=True)
+        fresh.request(keeper, now=0.0)
+        assert fresh.request(urgent, now=0.0).region_value == decision.region_value
+        assert (controller.betas, controller.budget) == (fresh.betas, fresh.budget)
+        assert controller.utilizations() == fresh.utilizations()
+
+    def test_refused_shedding_restores_blocking_bitwise(self):
+        controller, blocker, keeper = _shedding_setup()
+        before = (
+            controller.betas,
+            controller.budget,
+            controller.utilizations(),
+            {record[0]: record[1:] for record in controller.iter_admitted()},
+        )
+        assert controller.betas == (0.005,)
+        # Utilization 0.9 can never fit, so the blocker is shed, the
+        # arrival re-tested without it, and the shedding rolled back.
+        hopeless = make_task(
+            0.0, 1.0, [0.9], importance=5, task_id="hopeless",
+            resources=[ResourceSpec(0, "r", 0.0)],
+        )
+        decision = controller.request_with_shedding(hopeless, now=0.0)
+        assert not decision.admitted
+        assert decision.shed == ()
+        assert decision.region_value == controller.region_value()
+        after = (
+            controller.betas,
+            controller.budget,
+            controller.utilizations(),
+            {record[0]: record[1:] for record in controller.iter_admitted()},
+        )
+        assert after == before
+        assert controller._blocking.recompute() == controller.betas
+
+
 # ----------------------------------------------------------------------
 # Wire protocol
 # ----------------------------------------------------------------------

@@ -1,30 +1,37 @@
-"""Differential suite for the vectorized ``admit_many`` fast path.
+"""Differential suite for the admission lane against its scalar oracle.
 
-The vectorized batch loop (:meth:`PipelineAdmissionController.
-_admit_many_fast`) hoists every batch-invariant read — the region
+Every admission — ``admit_many`` on every controller, ``request()`` as
+its one-row call, each re-test of ``request_with_shedding`` — decides
+and commits through one loop, :meth:`PipelineAdmissionController.
+_admit_many_fast`.  It hoists every batch-invariant read — the region
 budget, tracker values, the per-stage ``f(min(U_j, 1))`` cache — out of
-the per-task iteration, and inlines ``approx_ge`` /
-``stage_delay_factor`` / ``approx_le`` into one pass per candidate.
-The guarantee it must uphold (DESIGN.md §16): decisions, reported
-region values, and the final controller state are *bitwise identical*
-to deciding the same sequence one :meth:`request` call at a time.
+the per-task iteration, inlines ``approx_ge`` / ``stage_delay_factor`` /
+``approx_le`` into one pass per candidate, and previews a locking row's
+budget per row.  The guarantee it must uphold (DESIGN.md §16.1):
+decisions, reported region values, and the final controller state are
+*bitwise identical* to :func:`scalar_admit_many`, the plain per-task
+loop kept here as the oracle (expire, derive the contributions and the
+candidate budget, ``_fits``, install).
 
 This suite replays seeded op streams — bursts sharing a timestamp,
 interleaved expiry, zero-cost stages, capacity rescales, locking
-controllers — through both paths and asserts equality decision for
+controllers — through the lane at batch sizes 1/2/32/257 and through
+``request()``, and asserts equality with the oracle decision for
 decision, plus ``registry_fingerprint`` equality for whole gateways
-whose only difference is the fast path being forcibly disabled.
+whose only difference is the oracle patched in for the lane.
 """
 
-import math
+import heapq
 import random
 
 import pytest
 
 from repro.core.admission import (
+    AdmissionDecision,
     MeanDemand,
     PipelineAdmissionController,
     ScaledDemand,
+    _Admitted,
 )
 from repro.core.task import make_task
 from repro.locking import ResourceSpec
@@ -41,8 +48,8 @@ def _mixed_trace(seed, count, num_stages=NUM_STAGES, locking=False):
 
     Roughly a third of arrivals share the previous timestamp (a burst),
     deadlines span lapsing-within-the-trace to outliving it, and some
-    stage costs are exactly 0.0 — the branchy cases the fast path must
-    not cut corners on.  With ``locking`` every third task declares a
+    stage costs are exactly 0.0 — the branchy cases the lane must not
+    cut corners on.  With ``locking`` every third task declares a
     critical section so ``beta_j`` moves with the admitted set.
     """
     rng = random.Random(seed)
@@ -78,6 +85,46 @@ def _mixed_trace(seed, count, num_stages=NUM_STAGES, locking=False):
     return tasks
 
 
+def scalar_admit_many(controller, task_list, time_list):
+    """The per-task reference loop the admission lane must match bitwise.
+
+    No hoisting and no inlining: each task expires the controller at its
+    timestamp, derives its contributions and candidate budget, runs the
+    scalar region test ``_fits`` and, when it fits, installs itself
+    stage by stage, then reports the freshly computed region value.  A
+    reused live id raises before anything changes.  Its signature
+    matches ``_admit_many_fast``, so it can be patched in for the lane.
+    """
+    decisions = []
+    for task, now in zip(task_list, time_list):
+        controller.expire(now)
+        contributions = controller._contributions(task)
+        budget = controller._candidate_budget(task)
+        fits = budget is not None and controller._fits(contributions, budget)
+        if fits:
+            if controller.collides(task.task_id, now):
+                raise ValueError(f"task {task.task_id!r} is already admitted")
+            expiry = task.absolute_deadline
+            for tracker, contribution in zip(controller.trackers, contributions):
+                tracker.add(task.task_id, contribution, expiry)
+            controller._admission_seq += 1
+            controller._admitted[task.task_id] = _Admitted(
+                contributions=contributions,
+                expiry=expiry,
+                importance=task.importance,
+                deadline=task.deadline,
+                resources=task.resources,
+                demand=tuple(controller.demand_model.demand(task)),
+                seq=controller._admission_seq,
+            )
+            controller._locking_track(task.task_id, task.deadline, task.resources)
+            heapq.heappush(controller._expiry_heap, (expiry, task.task_id))
+        decisions.append(
+            AdmissionDecision(admitted=fits, region_value=controller.region_value())
+        )
+    return decisions
+
+
 def _chunks(items, size):
     for start in range(0, len(items), size):
         yield items[start : start + size]
@@ -87,6 +134,8 @@ def _assert_state_equal(a, b):
     assert a.utilizations() == b.utilizations()
     assert a.region_value() == b.region_value()
     assert a.admitted_snapshot() == b.admitted_snapshot()
+    assert a.iter_admitted() == b.iter_admitted()
+    assert a.admission_seq == b.admission_seq
     assert a.budget == b.budget
     assert a.betas == b.betas
 
@@ -95,15 +144,17 @@ def _assert_decisions_equal(batched, sequential):
     assert len(batched) == len(sequential)
     for got, want in zip(batched, sequential):
         assert got.admitted == want.admitted
-        # Bitwise, not approximate: the fast path replays the exact
-        # float expression order of the scalar path.
+        # Bitwise, not approximate: the lane replays the exact float
+        # expression order of the oracle.
         assert got.region_value == want.region_value
         assert got.shed == want.shed
 
 
 def _run_differential(tasks, batch_size, make_controller, rescales=()):
-    """Oracle request() loop vs chunked admit_many on twin controllers.
+    """Oracle loop vs the lane on twin controllers.
 
+    The lane twin takes the trace in ``admit_many`` chunks of
+    ``batch_size``, or, at batch size 1, as one ``request()`` per task.
     ``rescales`` is a list of ``(after_index, stage, capacity)``
     triples applied to both controllers at the same trace position
     (aligned to a batch boundary for the batched twin).
@@ -114,7 +165,7 @@ def _run_differential(tasks, batch_size, make_controller, rescales=()):
 
     sequential = []
     for k, task in enumerate(tasks):
-        sequential.append(reference.request(task, task.arrival_time))
+        sequential.extend(scalar_admit_many(reference, [task], [task.arrival_time]))
         if k + 1 in rescale_at:
             stage, cap = rescale_at[k + 1]
             reference.rescale_stage_capacity(stage, cap)
@@ -122,7 +173,10 @@ def _run_differential(tasks, batch_size, make_controller, rescales=()):
     decisions = []
     done = 0
     for chunk in _chunks(tasks, batch_size):
-        decisions.extend(batched.admit_many(chunk))
+        if batch_size == 1:
+            decisions.append(batched.request(chunk[0], chunk[0].arrival_time))
+        else:
+            decisions.extend(batched.admit_many(chunk))
         done += len(chunk)
         if done in rescale_at:
             stage, cap = rescale_at[done]
@@ -134,7 +188,7 @@ def _run_differential(tasks, batch_size, make_controller, rescales=()):
 
 
 class TestScalarOracle:
-    """admit_many == one request() per task, bitwise, for every shape."""
+    """The lane == the scalar oracle, bitwise, for every shape."""
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("seed", [0, 7, 991])
@@ -182,21 +236,25 @@ class TestScalarOracle:
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_degradation_rescaled_mid_stream(self, batch_size):
-        """Capacity rescales between flushes re-derive the hoisted row."""
-        tasks = _mixed_trace(57, 514)
+        """Capacity rescales between flushes re-derive the hoisted row;
+        on a locking controller each degraded row also previews its own
+        budget."""
         # The rescale must land on a chunk boundary so both twins apply
         # it at the same trace position.
         boundary = -(-128 // batch_size) * batch_size
-        _run_differential(
-            tasks,
-            batch_size,
-            lambda: PipelineAdmissionController(NUM_STAGES),
-            rescales=[(boundary, 1, 0.5), (2 * boundary, 1, 0.9)],
-        )
+        for locking in (False, True):
+            reference, _ = _run_differential(
+                _mixed_trace(57, 514, locking=locking),
+                batch_size,
+                lambda: PipelineAdmissionController(NUM_STAGES, locking=locking),
+                rescales=[(boundary, 1, 0.5), (2 * boundary, 1, 0.9)],
+            )
+            assert (reference.betas is not None) == locking
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_locking_controller_takes_scalar_path(self, batch_size):
-        """Locking falls back to the previewed-budget loop — still equal."""
+        """Locking rows preview their own budget inside the lane (the
+        tracer's scalar-lane row) — still equal to the oracle."""
         tasks = _mixed_trace(71, 300, locking=True)
         reference, batched = _run_differential(
             tasks,
@@ -221,7 +279,7 @@ class TestScalarOracle:
 
     def test_underflowed_capacity_product_raises_like_scalar(self):
         """``capacity * deadline`` underflowing to 0.0 raises the same
-        ZeroDivisionError from the same expression on both paths."""
+        ZeroDivisionError from the same expression as the oracle."""
         tiny = 5e-324
         controller = PipelineAdmissionController(NUM_STAGES)
         controller.set_stage_capacity(1, tiny)
@@ -232,6 +290,8 @@ class TestScalarOracle:
             task_id=0,
         )
         with pytest.raises(ZeroDivisionError):
+            scalar_admit_many(controller, [task], [0.0])
+        with pytest.raises(ZeroDivisionError):
             controller.request(task, 0.0)
         batched = PipelineAdmissionController(NUM_STAGES)
         batched.set_stage_capacity(1, tiny)
@@ -240,29 +300,7 @@ class TestScalarOracle:
 
 
 class TestProbeCache:
-    """Satellite 1: would_admit shares the derivation with request()."""
-
-    def test_probe_then_request_derives_once(self, monkeypatch):
-        calls = []
-        original = PipelineAdmissionController._candidate_budget
-
-        def counting(self, task):
-            calls.append(task.task_id)
-            return original(self, task)
-
-        monkeypatch.setattr(
-            PipelineAdmissionController, "_candidate_budget", counting
-        )
-        controller = PipelineAdmissionController(NUM_STAGES, locking=True)
-        tasks = _mixed_trace(5, 40, locking=True)
-        for task in tasks:
-            before = len(calls)
-            probe = controller.would_admit(task, task.arrival_time)
-            decision = controller.request(task, task.arrival_time)
-            assert probe == decision.admitted
-            # The probe's derivation is reused by request(): exactly one
-            # blocking preview per (probe, request) pair.
-            assert len(calls) == before + 1
+    """would_admit probes answer like request() and never perturb it."""
 
     def test_probe_does_not_perturb_decisions(self):
         """Bitwise pin: interleaving probes changes nothing."""
@@ -278,7 +316,7 @@ class TestProbeCache:
         _assert_state_equal(plain, probed)
 
     def test_probe_cache_invalidated_by_capacity_change(self):
-        """A rescale between probe and request must re-derive."""
+        """A rescale between probe and request decides at the new capacity."""
         controller = PipelineAdmissionController(NUM_STAGES)
         task = make_task(
             arrival_time=0.0,
@@ -292,8 +330,8 @@ class TestProbeCache:
         assert not controller.request(task, 0.0).admitted
 
     def test_probe_cache_invalidated_by_admissions(self):
-        """The epoch only covers blocking/capacity state; installs are
-        covered by identity — a *different* task re-derives."""
+        """Probing a whole trace first leaves every later decision
+        as if no probe had run."""
         controller = PipelineAdmissionController(NUM_STAGES, locking=True)
         tasks = _mixed_trace(17, 20, locking=True)
         reference = PipelineAdmissionController(NUM_STAGES, locking=True)
@@ -309,7 +347,7 @@ class TestProbeCache:
 
 
 class TestGatewayFingerprint:
-    """Whole-gateway differential: fast path vs forcibly-scalar path."""
+    """Whole-gateway differential: the lane vs the oracle patched in."""
 
     @staticmethod
     def _drive(gateway, tasks, batch):
@@ -348,9 +386,7 @@ class TestGatewayFingerprint:
         fast_responses = self._drive(fast, tasks, batch)
 
         monkeypatch.setattr(
-            PipelineAdmissionController,
-            "_admit_many_fast",
-            PipelineAdmissionController._admit_many_scalar,
+            PipelineAdmissionController, "_admit_many_fast", scalar_admit_many
         )
         scalar = AdmissionGateway()
         scalar_responses = self._drive(scalar, tasks, batch)
@@ -390,19 +426,16 @@ class TestGatewayFingerprint:
         fast = AdmissionGateway()
         fast_responses = drive(fast)
         monkeypatch.setattr(
-            PipelineAdmissionController,
-            "_admit_many_fast",
-            PipelineAdmissionController._admit_many_scalar,
+            PipelineAdmissionController, "_admit_many_fast", scalar_admit_many
         )
         scalar = AdmissionGateway()
         scalar_responses = drive(scalar)
         assert fast_responses == scalar_responses
         assert registry_fingerprint(fast) == registry_fingerprint(scalar)
 
-    def test_locking_pipeline_fingerprint_stable(self):
-        """A locking pipeline takes the scalar loop by construction; the
-        batched gateway still fingerprints equal to an unbatched one
-        fed the same arrivals (batching changes when, never what)."""
+    def test_locking_pipeline_fingerprint_stable(self, monkeypatch):
+        """A batched locking pipeline previews each row's budget inside
+        the lane and still answers and fingerprints like the oracle."""
         tasks = _mixed_trace(31, 150, locking=True)
 
         def drive(gateway, batch):
@@ -438,8 +471,11 @@ class TestGatewayFingerprint:
             return responses
 
         a = AdmissionGateway()
-        b = AdmissionGateway()
         responses_a = drive(a, 32)
+        monkeypatch.setattr(
+            PipelineAdmissionController, "_admit_many_fast", scalar_admit_many
+        )
+        b = AdmissionGateway()
         responses_b = drive(b, 32)
         assert responses_a == responses_b
         assert registry_fingerprint(a) == registry_fingerprint(b)
