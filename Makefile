@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-sarif typecheck check chaos serve-smoke bench bench-smoke bench-protocol
+.PHONY: test lint lint-sarif typecheck check chaos serve-smoke examples bench bench-smoke bench-protocol
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +34,15 @@ serve-smoke:
 	$(PYTHON) -m repro.serve.loadgen --chaos-fleet --cycles 12 --workers 3 --seed 0 --selftest
 	$(PYTHON) -m repro.serve.loadgen --chaos-degradation --cycles 12 --seed 0 --selftest
 	$(PYTHON) -m repro.serve.loadgen --compare-blocking --seed 0 --selftest
+
+# Every example script as an end-to-end driver (core admission, the
+# simulator, the analysis layer, DAG feasibility, the web-server and
+# TSCE applications): each must run to completion with exit status 0.
+examples:
+	@for script in examples/*.py; do \
+		echo "$$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done
 
 # Consolidated benchmark run: paper-artifact and serving benchmarks in
 # BENCH_serve.json, the core hot-path + analyzer suite
@@ -97,4 +106,4 @@ typecheck:
 		echo "mypy not installed; skipping (config in pyproject.toml)"; \
 	fi
 
-check: lint typecheck test serve-smoke
+check: lint typecheck test examples serve-smoke

@@ -405,13 +405,13 @@ class PipelineAdmissionController:
         task_id: Hashable,
         contributions: Sequence[float],
         expiry: float,
-        importance: int = 0,
-        live: Optional[Sequence[Optional[float]]] = None,
-        departed_stages: Sequence[int] = (),
-        deadline: float = 0.0,
-        resources: Sequence[ResourceSpec] = (),
-        demand: Optional[Sequence[float]] = None,
-        seq: Optional[int] = None,
+        importance: int,
+        live: Sequence[Optional[float]],
+        departed_stages: Sequence[int],
+        deadline: float,
+        resources: Sequence[ResourceSpec],
+        demand: Optional[Sequence[float]],
+        seq: int,
     ) -> None:
         """Re-install one admitted task's bookkeeping from a snapshot.
 
@@ -430,24 +430,22 @@ class PipelineAdmissionController:
                 ``None`` entry marks a stage no longer tracking the
                 task (its contribution was released by an idle reset —
                 distinct from a tracked zero-cost contribution).
-                Defaults to ``contributions`` (nothing released yet).
             departed_stages: Stages where the task already departed and
                 awaits the next idle reset.
             deadline: The task's relative deadline ``D_i``; required
                 (> 0) on a locking controller, where it feeds the
                 blocking engine's priority key and normalization.
-                Pre-locking snapshots never persisted it, so 0.0 marks
-                "unknown" on non-locking controllers.
+                Records upgraded from pre-locking snapshots carry 0.0
+                ("unknown") on non-locking controllers.
             resources: Canonical shared-resource declarations of the
                 task; re-tracked by the blocking engine on a locking
                 controller so ``beta_j`` and the budget are rebuilt
                 bitwise.
             demand: Raw per-stage demand charged at admission time;
-                ``None`` (pre-v4 snapshots) pins the record's charges
-                across future capacity rescales.
-            seq: Admission sequence number; ``None`` assigns the next
-                counter value (legacy snapshots restore records in
-                document order, so assignment stays deterministic).
+                ``None`` (records upgraded from pre-v4 snapshots) pins
+                the record's charges across future capacity rescales.
+            seq: Admission sequence number; the admission counter
+                advances to it if it is higher.
 
         Raises:
             ValueError: If the task is already admitted or a vector has
@@ -456,11 +454,7 @@ class PipelineAdmissionController:
         if task_id in self._admitted:
             raise ValueError(f"task {task_id!r} is already admitted")
         charged = tuple(float(c) for c in contributions)
-        amounts: Tuple[Optional[float], ...] = (
-            charged
-            if live is None
-            else tuple(None if c is None else float(c) for c in live)
-        )
+        amounts = tuple(None if c is None else float(c) for c in live)
         if len(charged) != self.num_stages or len(amounts) != self.num_stages:
             raise ValueError(
                 f"contribution vectors must have {self.num_stages} entries"
@@ -480,13 +474,9 @@ class PipelineAdmissionController:
                 tracker.add(task_id, amount, expiry)
                 if j in departed:
                     tracker.mark_departed(task_id)
-        if seq is None:
-            self._admission_seq += 1
-            seq = self._admission_seq
-        else:
-            seq = int(seq)
-            if seq > self._admission_seq:
-                self._admission_seq = seq
+        seq = int(seq)
+        if seq > self._admission_seq:
+            self._admission_seq = seq
         self._admitted[task_id] = _Admitted(
             contributions=charged,
             expiry=expiry,
@@ -553,8 +543,7 @@ class PipelineAdmissionController:
         """Adopt snapshot-carried degradation bookkeeping (schema v4).
 
         Called by the serving layer's restore path *after* the admitted
-        records are loaded; legacy snapshots (pre-v4) pass the counter
-        value the restore loop assigned and ``False``.
+        records are loaded.
         """
         if admission_seq < 0:
             raise ValueError(

@@ -156,7 +156,8 @@ class StageUtilizationTracker:
         Replaces the accumulator wholesale — including one rebuilt from
         re-added contributions — so a restored tracker reproduces the
         snapshotted total bit-for-bit even when the snapshot's lineage
-        passed through the legacy rounded-sum format (:meth:`load_sum`).
+        passed through the legacy rounded-sum format (a v1 sum becomes
+        the accumulator state of that one float on upgrade).
 
         Raises:
             ValueError: If the state document is malformed.
@@ -315,24 +316,6 @@ class StageUtilizationTracker:
         self._expiry_heap.clear()
         self._acc.clear()
         self._sum = 0.0
-
-    def load_sum(self, value: float) -> None:
-        """Restore a legacy rounded running sum (schema-v1 snapshots).
-
-        Old snapshots recorded only the rounded float total.  The
-        accumulator adopts that value exactly (it is a finite double,
-        hence exactly representable), so a v1-restored tracker carries
-        the snapshotted total forward bit-for-bit; it can differ from
-        the exact sum of the restored contributions by at most the
-        rounding the legacy format already baked in — far below the
-        auditor's drift tolerance.  New snapshots carry the exact
-        accumulator state instead (:meth:`exact_state`).
-
-        Raises:
-            ValueError: If ``value`` is not finite.
-        """
-        self._acc.load_float(value)  # raises for non-finite values
-        self._sum = value
 
     # ------------------------------------------------------------------
     # Internals

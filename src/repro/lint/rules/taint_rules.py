@@ -213,7 +213,7 @@ class DeterminismOrderTaintRule(ProjectRule):
 #: exactness contract covers.  Deliberately narrow: per-event counters
 #: (``self.retries += 1``) and per-job metrics stay out.
 _ACCUMULATOR_VOCAB_RE = re.compile(
-    r"util|usage|busy|contrib|synthetic|beta|load_sum|sum_|_sum\b|_total\b",
+    r"util|usage|busy|contrib|synthetic|beta|sum_|_sum\b|_total\b",
     re.IGNORECASE,
 )
 

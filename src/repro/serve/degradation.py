@@ -283,7 +283,3 @@ class DegradationManager:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed ledger entry: {exc}") from exc
         self._ledger = parsed[-SACRIFICE_LEDGER_LIMIT:]
-
-    def fingerprint_doc(self) -> Dict[str, Any]:
-        """Deterministic state view for recovery equivalence checks."""
-        return self.state_doc()

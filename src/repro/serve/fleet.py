@@ -39,7 +39,8 @@ Two worker flavours share the supervisor logic:
     Real ``python -m repro.serve`` subprocesses, each bound to its own
     TCP port and state directory, killed with a real ``SIGKILL`` and
     respawned (recovery happens in the child on restart).  Exercised
-    by the ``slow_serve`` test tier and ``python -m repro.serve.fleet``.
+    only by the ``slow_serve`` test tier; the module has no command
+    line of its own.
 
 See DESIGN.md §13 for how supervisor states map onto the exact
 ``U_j(t)`` bookkeeping invariants.

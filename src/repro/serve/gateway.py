@@ -329,6 +329,10 @@ class AdmissionGateway:
         rid = request.get("rid")
         if not isinstance(rid, str) or request.get("op") == "health":
             return
+        self._remember(rid, line, request.get("id"))
+
+    def _remember(self, rid: str, line: str, original_id: Any) -> None:
+        """Make ``line`` the newest decided answer for ``rid``."""
         self._rid_pending.discard(rid)
         decided = self._rid_decided
         if rid in decided:
@@ -336,7 +340,7 @@ class AdmissionGateway:
             # the eviction order; deleting first makes the reinsert
             # land there.
             del decided[rid]
-        decided[rid] = [line, request.get("id"), None]
+        decided[rid] = [line, original_id, None]
         while len(decided) > self.dedup_window:
             del decided[next(iter(decided))]
 
@@ -392,14 +396,10 @@ class AdmissionGateway:
 
     def load_dedup_state(self, state: Dict[str, Any]) -> None:
         """Replace the dedup window with a :meth:`dedup_state` document."""
-        decided = state.get("decided", [])
-        pending = state.get("pending", [])
-        self._rid_decided = {
-            rid: [line, _UNKNOWN_ID, None] for rid, line in decided
-        }
-        self._rid_pending = set(pending)
-        while len(self._rid_decided) > self.dedup_window:
-            del self._rid_decided[next(iter(self._rid_decided))]
+        self._rid_decided = {}
+        for rid, line in state.get("decided", []):
+            self._remember(rid, line, _UNKNOWN_ID)
+        self._rid_pending = set(state.get("pending", []))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -638,8 +638,7 @@ class AdmissionGateway:
         name = request["pipeline"]
         carried = _dedup_operand(request)
         pipeline = ServedPipeline.from_snapshot(request.get("snapshot"), name=name)
-        check_at = pipeline.clock if pipeline.clock is not None else 0.0
-        violations = verify_restored(pipeline.controller, check_at)
+        violations = verify_restored(pipeline.controller, pipeline.clock)
         if violations:
             raise ProtocolError(
                 "restore-audit-failed",
@@ -648,13 +647,8 @@ class AdmissionGateway:
         self.registry.adopt(pipeline)
         # Answers decided where the snapshot was taken: they join the
         # window as if decided here (see _op_snapshot).
-        window = self._rid_decided
         for rid, line in carried:
-            self._rid_pending.discard(rid)
-            window.pop(rid, None)
-            window[rid] = [line, _UNKNOWN_ID, None]
-        while len(window) > self.dedup_window:
-            del window[next(iter(window))]
+            self._remember(rid, line, _UNKNOWN_ID)
         routed.append(
             (
                 origin,

@@ -462,8 +462,7 @@ def snapshot_roundtrip(pipeline_snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """
     controller_doc = pipeline_snapshot["controller"]
     restored = restore_controller(controller_doc)
-    check_at = pipeline_snapshot.get("clock")
-    violations = verify_restored(restored, 0.0 if check_at is None else check_at)
+    violations = verify_restored(restored, pipeline_snapshot.get("clock"))
     first = json.dumps(json_safe(controller_doc), sort_keys=True)
     second = json.dumps(json_safe(controller_snapshot(restored)), sort_keys=True)
     return {

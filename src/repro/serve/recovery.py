@@ -1,15 +1,18 @@
 """Crash recovery: rebuild a gateway bitwise from its durable state.
 
 Recovery rebuilds a gateway from its durable state directory: load the
-compaction snapshot (if one exists), replay the journal suffix through
-a fresh :class:`~repro.serve.gateway.AdmissionGateway`, audit every
-recovered controller with the PR-2 invariant checks, and hand back a
+compaction snapshot (if one exists; older controller schemas upgrade
+on the one restore path of :mod:`repro.serve.snapshot`), replay the
+journal suffix through a fresh
+:class:`~repro.serve.gateway.AdmissionGateway`, audit every recovered
+controller with :func:`~repro.serve.snapshot.verify_restored` (the
+``restore`` op's non-mutating audit), and hand back a
 :class:`~repro.serve.journal.DurableGateway` ready to serve.  Because
 the core is deterministic and the journal is written *before* each
-mutation, the recovered gateway is bitwise identical to the pre-crash
-one — :func:`registry_fingerprint` makes that comparable as a single
-canonical JSON string covering policies, clocks, counters, controller
-snapshots, pending admission batches, and the idempotency window.
+mutation — a refused request included, which replays to the same
+error — the recovered gateway is bitwise identical to the pre-crash
+one: :func:`registry_fingerprint` compares pipeline state documents,
+pending admission batches and the idempotency window.
 
 The chaos gates of :mod:`repro.serve.chaos` crash durable gateways and
 fleet workers on purpose and hold every recovery to that contract.
@@ -32,7 +35,7 @@ from .journal import (
 )
 from .protocol import encode, task_to_wire
 from .registry import ServedPipeline
-from .snapshot import controller_snapshot, restore_controller, verify_restored
+from .snapshot import verify_restored
 
 __all__ = [
     "SNAPSHOT_FILE",
@@ -134,9 +137,9 @@ def recover(
 
     An empty (or missing) directory recovers to a fresh gateway, so
     this is also the way to *open* durable state for the first time.
-    Every recovered controller is audited — on a **copy**, because the
-    auditor's expiry sweep mutates state and the recovered gateway must
-    stay bitwise identical to the pre-crash one.
+    Every recovered controller is audited by
+    :func:`~repro.serve.snapshot.verify_restored`, which leaves it
+    bitwise identical to the pre-crash one.
 
     Raises:
         RecoveryError: On an unloadable snapshot or a recovered
@@ -175,12 +178,7 @@ def recover(
         report.last_seq = record["seq"]
 
     for pipeline in gateway.registry:
-        # Audit a restored copy: ControllerAuditor.audit runs an expiry
-        # sweep, and mutating the live recovered controller would break
-        # the bitwise-equivalence contract recovery exists to provide.
-        audit_copy = restore_controller(controller_snapshot(pipeline.controller))
-        check_at = pipeline.clock if pipeline.clock is not None else 0.0
-        violations = verify_restored(audit_copy, check_at)
+        violations = verify_restored(pipeline.controller, pipeline.clock)
         if violations:
             raise RecoveryError(
                 f"recovered pipeline {pipeline.name!r} failed audit: "
@@ -209,10 +207,11 @@ def recover(
 def registry_fingerprint(gateway: Union[AdmissionGateway, DurableGateway]) -> str:
     """Canonical JSON string of everything the durability contract covers.
 
-    Includes per-pipeline policy, virtual clock, serving counters,
-    controller snapshot, degradation-manager state (capacity estimator
-    + sacrifice ledger), and the *pending* admission-batch queue, plus
-    the gateway's drain flag and idempotency window.  Deliberately
+    Includes each pipeline's snapshot body
+    (:meth:`~repro.serve.registry.ServedPipeline.state_doc`: policy,
+    virtual clock, serving counters, controller snapshot, degradation
+    state) plus its *pending* admission-batch queue, and the gateway's
+    drain flag and idempotency window.  Deliberately
     excludes ``op_counts``/``errors``/``dedup_hits`` — those are
     diagnostics (dedup hits, for one, are served without journaling).
     Two gateways with equal fingerprints make identical future
@@ -224,12 +223,7 @@ def registry_fingerprint(gateway: Union[AdmissionGateway, DurableGateway]) -> st
         "dedup": core.dedup_state(),
         "pipelines": [
             {
-                "name": pipeline.name,
-                "policy": pipeline.policy.to_dict(),
-                "clock": pipeline.clock,
-                "counters": pipeline.counters.to_dict(),
-                "controller": controller_snapshot(pipeline.controller),
-                "degradation": pipeline.degradation.fingerprint_doc(),
+                **pipeline.state_doc(),
                 "pending": [
                     task_to_wire(task) for task in pipeline.pending_tasks()
                 ],

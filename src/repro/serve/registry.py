@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
-from ..core.admission import AdmissionDecision, PipelineAdmissionController
+from ..core.admission import AdmissionDecision, MeanDemand, PipelineAdmissionController
 from ..core.task import PipelineTask
 from .batching import AdmissionBatcher
 from .degradation import DegradationManager, hysteresis_from_wire
@@ -30,6 +30,7 @@ from .snapshot import (
     demand_model_from_wire,
     demand_model_to_wire,
     restore_controller,
+    upgrade_snapshot,
 )
 
 __all__ = [
@@ -112,8 +113,13 @@ class PipelinePolicy:
             )
         # Validate batching parameters eagerly (same rules as the batcher).
         AdmissionBatcher(self.batch_window, self.max_batch)
-        if self.demand is not None:
-            demand_model_from_wire(self.demand)
+        model = demand_model_from_wire(self.demand)
+        if isinstance(model, MeanDemand):
+            stages = len(model.mean_computation_times)
+            if stages != self.num_stages:
+                raise ValueError(
+                    f"mean demand has {stages} stages, policy has {self.num_stages}"
+                )
         hysteresis_from_wire(self.degradation)
 
     @property
@@ -203,7 +209,7 @@ class PipelinePolicy:
             # infeasible reservations, vector lengths) at registration
             # time rather than on the first admit.
             policy.build_controller()
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError("bad-policy", str(exc)) from exc
         return policy
 
@@ -237,6 +243,8 @@ class ServeCounters:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ServeCounters":
+        if not isinstance(doc, dict):
+            raise ValueError("counters must be a JSON object")
         return cls(**{key: int(value) for key, value in doc.items()})
 
 
@@ -302,6 +310,13 @@ class ServedPipeline:
                 triple (the gateway passes the pending request).
             task: The arriving task.
         """
+        if len(task.computation_times) != self.policy.num_stages:
+            # Refused before it can reach (and raise inside) a batch.
+            raise ProtocolError(
+                "bad-task",
+                f"task has {len(task.computation_times)} stages, pipeline "
+                f"{self.name!r} has {self.policy.num_stages}",
+            )
         # observe_time inlined — this is the per-arrival hot path and
         # the property/raise plumbing costs as much as the real work.
         now = task.arrival_time
@@ -545,6 +560,18 @@ class ServedPipeline:
             "degradation": self.degradation.stats_doc(),
         }
 
+    def state_doc(self) -> Dict[str, Any]:
+        """The body of :meth:`snapshot` and of this pipeline's entry in
+        :func:`repro.serve.recovery.registry_fingerprint`."""
+        return {
+            "name": self.name,
+            "policy": self.policy.to_dict(),
+            "clock": self._clock,
+            "counters": self.counters.to_dict(),
+            "controller": controller_snapshot(self.controller),
+            "degradation": self.degradation.state_doc(),
+        }
+
     def snapshot(self) -> Dict[str, Any]:
         """Full pipeline state (policy + clock + counters + controller).
 
@@ -555,15 +582,7 @@ class ServedPipeline:
             raise ProtocolError(
                 "pending-batch", "flush pending admissions before snapshotting"
             )
-        return {
-            "format": PIPELINE_SNAPSHOT_FORMAT,
-            "name": self.name,
-            "policy": self.policy.to_dict(),
-            "clock": self._clock,
-            "counters": self.counters.to_dict(),
-            "controller": controller_snapshot(self.controller),
-            "degradation": self.degradation.state_doc(),
-        }
+        return {"format": PIPELINE_SNAPSHOT_FORMAT, **self.state_doc()}
 
     @classmethod
     def from_snapshot(cls, doc: Dict[str, Any], name: Optional[str] = None) -> "ServedPipeline":
@@ -583,9 +602,9 @@ class ServedPipeline:
             )
         try:
             policy = PipelinePolicy.from_dict(doc["policy"])
-            _check_controller_matches_policy(policy, doc["controller"])
+            controller_doc = _controller_for_policy(policy, doc["controller"])
             pipeline = cls(name=name or str(doc["name"]), policy=policy)
-            pipeline.controller = restore_controller(doc["controller"])
+            pipeline.controller = restore_controller(controller_doc)
             pipeline.counters = ServeCounters.from_dict(doc["counters"])
             if doc.get("clock") is not None:
                 pipeline._clock = float(doc["clock"])
@@ -601,10 +620,10 @@ class ServedPipeline:
             raise ProtocolError("bad-snapshot", str(exc)) from exc
 
 
-def _check_controller_matches_policy(
+def _controller_for_policy(
     policy: PipelinePolicy, controller_doc: Any
-) -> None:
-    """Reject a pipeline snapshot whose two documents disagree.
+) -> Dict[str, Any]:
+    """The upgraded controller document, if it agrees with ``policy``.
 
     The policy document drives gateway-side validation (``_check_stage``
     bounds, the ``stats`` report) while the controller document rebuilds
@@ -615,9 +634,11 @@ def _check_controller_matches_policy(
 
     Raises:
         ProtocolError: On any parameter mismatch.
+        ValueError: From :func:`~repro.serve.snapshot.upgrade_snapshot`.
     """
     if not isinstance(controller_doc, dict):
         raise ProtocolError("bad-snapshot", "controller must be a JSON object")
+    controller_doc = upgrade_snapshot(controller_doc)
     expected: Dict[str, Any] = {
         "num_stages": policy.num_stages,
         "alpha": policy.alpha,
@@ -643,14 +664,12 @@ def _check_controller_matches_policy(
         got = controller_doc.get(key)
         if key == "demand_model":
             got = demand_model_to_wire(demand_model_from_wire(got))
-        elif key == "locking":
-            # Pre-v3 controller documents predate the flag.
-            got = bool(controller_doc.get("locking", False))
         if got != want:
             raise ProtocolError(
                 "bad-snapshot",
                 f"controller {key} {got!r} disagrees with policy value {want!r}",
             )
+    return controller_doc
 
 
 class PipelineRegistry:

@@ -9,30 +9,23 @@ controller whose *future decisions* match the snapshotted one.
 
 Floats survive the JSON round trip exactly (shortest-repr encoding is
 lossless for IEEE doubles), and the snapshot carries each stage's
-*exact accumulator state* (since schema v2) alongside the per-task
-contributions, so a restored controller is *bitwise identical* to the
-snapshotted one — same future decisions, same region values, down to
-the last ulp, and independent of the order the records are replayed
-in.  Schema v3 extends the records with each task's relative deadline
-and shared-resource declarations plus the controller's ``locking``
-flag, so the online PCP blocking state (``B_ij``, ``beta_j``, and the
-transactional region budget) is rebuilt bitwise as well — and a v3+
-restore refuses documents whose recorded beta vector disagrees with
-the vector re-derived from its own records.  Schema v4 adds the
-degradation state: each record's raw admission-time demand and
-admission sequence number, plus the controller's admission counter
-and charges-follow-capacity flag, so online capacity rescales and
-sacrifice tie-breaks replay bitwise across crash recovery.  Crash
-recovery (``repro.serve.recovery``) leans on this to prove a
-recovered gateway equivalent to one that never crashed.  Legacy v3
-(no degradation state), v2 (no resource model) and v1 documents
-(rounded per-stage running sums) are still accepted: restore adopts
-the recorded state, which the controller carries forward exactly.
+*exact accumulator state* alongside the per-task contributions, so a
+restored controller is *bitwise identical* to the snapshotted one —
+same future decisions, same region values, down to the last ulp, and
+independent of the order the records are replayed in.  Each record
+also carries the task's deadline and resources (the online PCP
+blocking state), raw demand and admission sequence number (capacity
+rescales and sacrifice tie-breaks).  Crash recovery
+(``repro.serve.recovery``) leans on this to prove a recovered gateway
+equivalent to one that never crashed.
 
-Verification reuses the PR-2 machinery: :func:`verify_restored` runs
-the :class:`~repro.core.audit.ControllerAuditor` internal-consistency
-checks against the restored instance, and the gateway's ``restore``
-operation refuses snapshots that do not audit clean.
+There is one restore path: :func:`upgrade_snapshot` lifts an older
+document v1 → v2 → v3 → v4 and is the only code that knows how the
+schemas differ; :func:`restore_controller` loads the current schema
+with every field required.  :func:`verify_restored` audits a private
+copy with the :class:`~repro.core.audit.ControllerAuditor`, so an audit
+never changes the controller it vouches for; the gateway's ``restore``
+operation and crash recovery refuse state that does not audit clean.
 """
 
 from __future__ import annotations
@@ -47,6 +40,7 @@ from ..core.admission import (
     ScaledDemand,
 )
 from ..core.audit import ControllerAuditor, InvariantViolation
+from ..core.numeric import ExactSum
 from ..locking.model import resources_from_wire, resources_to_wire
 
 __all__ = [
@@ -56,6 +50,7 @@ __all__ = [
     "SNAPSHOT_FORMAT_V3",
     "SUPPORTED_SNAPSHOT_FORMATS",
     "controller_snapshot",
+    "upgrade_snapshot",
     "restore_controller",
     "verify_restored",
     "demand_model_to_wire",
@@ -65,24 +60,16 @@ __all__ = [
 #: Version tag embedded in every snapshot document written today:
 #: schema v4 adds the degradation state — per-record raw demand and
 #: admission sequence number, plus the controller's admission counter
-#: and charges-follow-capacity flag — so capacity rescales and
-#: sacrifice tie-breaks replay bitwise across crash recovery.
+#: and charges-follow-capacity flag.
 SNAPSHOT_FORMAT = "repro.serve.controller-snapshot/4"
 
-#: Previous schema: the locking flag plus per-record relative deadlines
-#: and shared-resource declarations (online PCP blocking state), but no
-#: raw demand or admission sequence.  Restored records keep their
-#: charges pinned across capacity rescales; sequence numbers are
-#: assigned in record order.
+#: The locking flag plus per-record deadlines and resources.
 SNAPSHOT_FORMAT_V3 = "repro.serve.controller-snapshot/3"
 
-#: Exact per-stage accumulator state, no resource model.  Still
-#: accepted on restore (such controllers predate locking, so the
-#: missing fields default cleanly).
+#: Exact per-stage accumulator states, no resource model.
 SNAPSHOT_FORMAT_V2 = "repro.serve.controller-snapshot/2"
 
-#: Legacy schema: rounded per-stage running sums only.  Still accepted
-#: on restore so existing ``--state-dir`` deployments recover cleanly.
+#: Rounded per-stage running sums (the first writer kept none).
 SNAPSHOT_FORMAT_V1 = "repro.serve.controller-snapshot/1"
 
 #: Every format :func:`restore_controller` accepts, newest first.
@@ -107,27 +94,30 @@ def demand_model_to_wire(model: DemandModel) -> Dict[str, Any]:
         return {"kind": "mean", "means": list(model.mean_computation_times)}
     if isinstance(model, ExactDemand):
         return {"kind": "exact"}
-    raise ValueError(
-        f"demand model {type(model).__name__} has no wire encoding; "
-        "pass demand_model explicitly on restore"
-    )
+    raise ValueError(f"demand model {type(model).__name__} has no wire encoding")
 
 
 def demand_model_from_wire(doc: Optional[Dict[str, Any]]) -> DemandModel:
     """Decode a demand-model document (``None`` means exact demand).
 
     Raises:
-        ValueError: On an unknown ``kind`` or missing parameters.
+        ValueError: On a non-object document, an unknown ``kind`` or
+            missing parameters.
     """
     if doc is None:
         return ExactDemand()
+    if not isinstance(doc, dict):
+        raise ValueError("demand model must be a JSON object")
     kind = doc.get("kind")
-    if kind == "exact":
-        return ExactDemand()
-    if kind == "scaled":
-        return ScaledDemand(float(doc["factor"]))
-    if kind == "mean":
-        return MeanDemand([float(c) for c in doc["means"]])
+    try:
+        if kind == "exact":
+            return ExactDemand()
+        if kind == "scaled":
+            return ScaledDemand(float(doc["factor"]))
+        if kind == "mean":
+            return MeanDemand([float(c) for c in doc["means"]])
+    except KeyError as exc:
+        raise ValueError(f"demand model {kind!r} requires {exc}") from exc
     raise ValueError(f"unknown demand model kind {kind!r}")
 
 
@@ -146,11 +136,7 @@ def controller_snapshot(
     """
     records = controller.iter_admitted()
     for task_id, *_ in records:
-        if not isinstance(task_id, int):
-            raise ValueError(
-                f"task id {task_id!r} is not an integer; snapshots require "
-                "protocol-typed ids"
-            )
+        _check_task_id(task_id)
     admitted: List[Dict[str, Any]] = []
     tracked = [t.tracked_ids() for t in controller.trackers]
     for (
@@ -225,116 +211,196 @@ def controller_snapshot(
     }
 
 
-def restore_controller(
-    state: Dict[str, Any],
-    demand_model: Optional[DemandModel] = None,
-) -> PipelineAdmissionController:
-    """Rebuild a controller from a :func:`controller_snapshot` document.
+def _check_task_id(task_id: Any) -> None:
+    if not isinstance(task_id, int):
+        raise ValueError(
+            f"task id {task_id!r} is not an integer; snapshots require "
+            "protocol-typed ids"
+        )
 
-    Accepts every schema from v4 down to legacy v1 (rounded running
-    sums); see :data:`SUPPORTED_SNAPSHOT_FORMATS`.
 
-    Args:
-        state: The snapshot document.
-        demand_model: Override for the demand model; defaults to the
-            snapshot's own encoding.
+def _records(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The document's admitted records, which must be JSON objects."""
+    records = doc["admitted"]
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise ValueError("snapshot admitted must be a list of record objects")
+    return records
+
+
+def _v1_to_v2(doc: Dict[str, Any]) -> None:
+    """Rounded running sums become exact accumulator states.
+
+    The first v1 writer kept no sums; its trackers held the exact sum
+    of the live amounts.  The capacities vector counts the stages, so
+    a hostile ``num_stages`` costs nothing here (the loader checks it).
+    """
+    sums = doc.get("sums")
+    if sums is None:
+        totals = [ExactSum() for _ in doc["capacities"]]
+        for record in doc["admitted"]:
+            for total, amount in zip(totals, record["live"]):
+                if amount is not None:
+                    total.add(float(amount))
+    else:
+        totals = [ExactSum() for _ in sums]
+        for total, value in zip(totals, sums):
+            total.load_float(float(value))
+    doc["accumulators"] = [total.state() for total in totals]
+
+
+def _v2_to_v3(doc: Dict[str, Any]) -> None:
+    """Static betas; records with unknown deadline 0.0 and no resources.
+
+    A demand can only be re-charged against a known deadline, so a
+    record that takes the unknown one keeps pinned charges.
+    """
+    doc.setdefault("locking", False)
+    for record in doc["admitted"]:
+        if "deadline" not in record:
+            record.update(deadline=0.0, demand=None)
+        record.setdefault("resources", [])
+
+
+def _v3_to_v4(doc: Dict[str, Any]) -> None:
+    """Pinned charges; a record without ``seq`` takes the next number
+    after the highest seen so far, and the counter is the highest."""
+    counter = 0
+    for record in doc["admitted"]:
+        if record.get("seq") is None:
+            counter += 1
+            record["seq"] = counter
+        else:
+            counter = max(counter, int(record["seq"]))
+        record.setdefault("demand", None)
+    doc.setdefault("admission_seq", counter)
+    doc.setdefault("charges_follow_capacity", False)
+
+
+#: One step per schema bump, oldest first.  A format's index in
+#: :data:`SUPPORTED_SNAPSHOT_FORMATS` (newest first) counts the steps
+#: it is behind, so it runs that many of the last ones.
+_UPGRADES = (_v1_to_v2, _v2_to_v3, _v3_to_v4)
+
+
+def upgrade_snapshot(doc: Any) -> Dict[str, Any]:
+    """Lift a controller snapshot of any supported schema to the current one.
+
+    Pure: a current document comes back as is, an older one as an
+    upgraded copy.  Each step only fills in what its schema lacks, so
+    fields an older writer did carry (``seq``/``demand`` on a v3
+    record) are kept.
 
     Raises:
-        ValueError: On a missing/unknown format tag or inconsistent
-            state vectors.
+        ValueError: On a missing/unknown format tag or admitted records
+            that are not objects.
     """
-    fmt = state.get("format")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt not in SUPPORTED_SNAPSHOT_FORMATS:
         raise ValueError(
             f"unsupported snapshot format {fmt!r}; "
             f"expected one of {SUPPORTED_SNAPSHOT_FORMATS!r}"
         )
-    if demand_model is None:
-        demand_model = demand_model_from_wire(state.get("demand_model"))
-    # The locking flag first appears in schema v3; older documents can
-    # only describe static-beta controllers.
-    locking = bool(state.get("locking", False))
+    if fmt == SNAPSHOT_FORMAT:
+        return doc
+    # The steps assign keys of the document and its records only.
+    records = [dict(record) for record in _records(doc)]
+    doc = dict(doc, format=SNAPSHOT_FORMAT, admitted=records)
+    for step in _UPGRADES[-SUPPORTED_SNAPSHOT_FORMATS.index(fmt):]:
+        step(doc)
+    return doc
+
+
+def restore_controller(state: Dict[str, Any]) -> PipelineAdmissionController:
+    """Rebuild a controller from a :func:`controller_snapshot` document.
+
+    Older schemas are lifted by :func:`upgrade_snapshot` first; the
+    current one is loaded with every field required.
+
+    Raises:
+        ValueError: On a missing/unknown format tag, a record or vector
+            the writer could not have produced, or state that
+            disagrees with its own records.
+    """
+    state = upgrade_snapshot(state)
+    records = _records(state)
+    locking = bool(state["locking"])
     controller = PipelineAdmissionController(
         num_stages=int(state["num_stages"]),
         alpha=float(state["alpha"]),
         betas=None if locking else state["betas"],
         reserved=state["reserved"],
-        demand_model=demand_model,
+        demand_model=demand_model_from_wire(state["demand_model"]),
         reset_on_idle=bool(state["reset_on_idle"]),
         locking=locking,
     )
-    for stage, capacity in enumerate(state["capacities"]):
+    capacities = state["capacities"]
+    if len(capacities) != controller.num_stages:
+        raise ValueError(
+            f"snapshot has {len(capacities)} capacities for "
+            f"{controller.num_stages} stages"
+        )
+    for stage, capacity in enumerate(capacities):
         if capacity != 1.0:
             controller.set_stage_capacity(stage, float(capacity))
-    for record in state["admitted"]:
-        # demand/seq are read uniformly via .get() for every format —
-        # pre-v4 documents (and v4 documents downgraded by an old
-        # writer) restore with pinned charges and record-order sequence
-        # numbers, deterministically.
-        demand = record.get("demand")
+    for record in records:
+        task_id = record["task_id"]
+        _check_task_id(task_id)
+        deadline = float(record["deadline"])
+        if record["demand"] is not None and not deadline > 0:
+            # Rescales and the auditor divide a raw demand by D_i.
+            raise ValueError(
+                f"task {task_id} carries a demand but its deadline "
+                f"{deadline!r} is not positive"
+            )
         controller.load_admitted(
-            task_id=record["task_id"],
+            task_id=task_id,
             contributions=record["contributions"],
             expiry=float(record["expiry"]),
             importance=int(record["importance"]),
             live=record["live"],
             departed_stages=record["departed"],
-            deadline=float(record.get("deadline", 0.0)),
-            resources=resources_from_wire(record.get("resources", [])),
-            demand=None if demand is None else [float(c) for c in demand],
-            seq=record.get("seq"),
+            deadline=deadline,
+            resources=resources_from_wire(record["resources"]),
+            demand=record["demand"],
+            seq=record["seq"],
         )
     controller.load_degradation_state(
-        admission_seq=int(state.get("admission_seq", controller.admission_seq)),
-        charges_follow_capacity=bool(state.get("charges_follow_capacity", False)),
+        admission_seq=int(state["admission_seq"]),
+        charges_follow_capacity=bool(state["charges_follow_capacity"]),
     )
     if locking:
-        # The online beta vector is derived state: replaying the
-        # records through the blocking engine must land exactly on the
-        # vector the snapshotted controller held.  A mismatch means the
-        # document was corrupted (or hand-edited) — refuse it rather
-        # than restore a controller whose budget silently moved.
-        recorded = state.get("betas")
+        # The online beta vector is derived state: the records must
+        # rebuild exactly the vector the snapshotted controller held.
+        recorded = state["betas"]
         rebuilt = None if controller.betas is None else list(controller.betas)
         if recorded != rebuilt:
             raise ValueError(
                 f"snapshot beta vector {recorded!r} does not match the "
                 f"blocking state rebuilt from its records {rebuilt!r}"
             )
-    if fmt in (SNAPSHOT_FORMAT, SNAPSHOT_FORMAT_V3, SNAPSHOT_FORMAT_V2):
-        accumulators = state["accumulators"]
-        if len(accumulators) != controller.num_stages:
-            raise ValueError(
-                f"snapshot has {len(accumulators)} accumulator states for "
-                f"{controller.num_stages} stages"
-            )
-        for tracker, acc_state in zip(controller.trackers, accumulators):
-            tracker.load_exact(acc_state)
-    else:
-        # Legacy v1: only the rounded running sums were recorded; the
-        # accumulator adopts them exactly, so the restored totals match
-        # the snapshotted ones bit-for-bit (they can differ from the
-        # exact contribution sum by the rounding the old format baked
-        # in — far below the auditor's drift tolerance).
-        sums = state.get("sums")
-        if sums is not None:
-            if len(sums) != controller.num_stages:
-                raise ValueError(
-                    f"snapshot has {len(sums)} stage sums for "
-                    f"{controller.num_stages} stages"
-                )
-            for tracker, raw_sum in zip(controller.trackers, sums):
-                tracker.load_sum(float(raw_sum))
+    accumulators = state["accumulators"]
+    if len(accumulators) != controller.num_stages:
+        raise ValueError(
+            f"snapshot has {len(accumulators)} accumulator states for "
+            f"{controller.num_stages} stages"
+        )
+    for tracker, acc_state in zip(controller.trackers, accumulators):
+        tracker.load_exact(acc_state)
     return controller
 
 
 def verify_restored(
-    controller: PipelineAdmissionController, now: float
+    controller: PipelineAdmissionController, now: Optional[float]
 ) -> List[InvariantViolation]:
-    """Audit a restored controller's internal consistency.
+    """Audit a controller's internal consistency without changing it.
 
     Runs every ground-truth-free :class:`ControllerAuditor` check
     (sum drift, negative utilization, orphan and expired
-    contributions).  A clean restore returns an empty list.
+    contributions) at ``now`` — a pipeline clock, where ``None`` (no
+    timestamp seen yet) audits at 0.0.  The auditor's expiry sweep
+    mutates what it audits, so it audits a snapshot/restore copy and
+    ``controller`` stays bitwise what it was.  A clean controller
+    returns an empty list.
     """
-    return ControllerAuditor(controller).audit(now)
+    audited = restore_controller(controller_snapshot(controller))
+    return ControllerAuditor(audited).audit(0.0 if now is None else now)

@@ -190,7 +190,7 @@ class TestDegradationManager:
         assert manager.sacrifices()  # the ledger rides along
         twin = _manager(1)
         twin.load_state(manager.state_doc())
-        assert twin.fingerprint_doc() == manager.fingerprint_doc()
+        assert twin.state_doc() == manager.state_doc()
         assert json.dumps(twin.state_doc(), sort_keys=True) == json.dumps(
             manager.state_doc(), sort_keys=True
         )
